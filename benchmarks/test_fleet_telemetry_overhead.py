@@ -79,7 +79,7 @@ def _install_fresh_stores():
 def test_fleet_telemetry_overhead(benchmark, overhead_fleet, save_result):
     fleet, lanes = overhead_fleet
 
-    # Warm the pipeline's standardization memo for every lane so neither
+    # Warm-up run: lazy engine and import state is built here, so neither
     # timed path pays one-off preparation.
     run_fleet(fleet, lanes, max_horizons=1)
 

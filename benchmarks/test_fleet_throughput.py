@@ -34,8 +34,8 @@ def test_fleet_throughput_16_streams(benchmark, get_experiment, save_result):
     fleet = fleet_marshaller(experiment)
     lanes = build_fleet_lanes(experiment, FLEET_SIZE)
 
-    # Warm the pipeline's standardization memo for every lane so neither
-    # path pays the one-off matrix preparation inside its timed region.
+    # Warm-up run: lazy engine and import state is built here, outside
+    # either path's timed region.
     run_fleet(fleet, lanes, max_horizons=1)
 
     report = benchmark.pedantic(

@@ -3,8 +3,7 @@
 The ingest guard's contract is that it costs (almost) nothing when
 nothing is wrong: on a clean stream ``sanitize`` is one vectorized
 finite/staleness pass returning the *same* feature object, so the
-pipeline's standardization memo stays warm and the marshalling loop is
-otherwise untouched.  This benchmark times the same TA10 marshalling run
+marshalling loop downstream of it is untouched.  This benchmark times the same TA10 marshalling run
 guarded vs unguarded and publishes the machine-independent ratio
 (unguarded seconds over guarded seconds — i.e. the guarded path's
 relative throughput) through ``extra_info["speedup"]`` for
@@ -41,8 +40,8 @@ def test_ingest_guard_clean_overhead(benchmark, get_experiment, save_result):
     marshaller = chaos_marshaller(experiment)
     guard = StreamGuard()
 
-    # Warm the pipeline's standardization memo and any lazy state so
-    # neither timed path pays one-off preparation.
+    # Warm lazy engine and import state so neither timed path pays
+    # one-off preparation.
     _run(marshaller, experiment, None)
     _run(marshaller, experiment, guard)
 

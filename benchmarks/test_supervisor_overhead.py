@@ -68,7 +68,7 @@ def test_supervisor_overhead(benchmark, get_experiment, save_result):
         supervisor=SUPERVISOR,
     )
 
-    # Warm both paths (pipeline memos, import costs in workers) outside
+    # Warm both paths (lazy engine state, import costs in workers) outside
     # the timed region, and pin the byte-identity the ratio rests on.
     unsup_report = unsupervised.run(lanes, max_horizons=MAX_HORIZONS)
     sup_report = supervised.run(lanes, max_horizons=MAX_HORIZONS)

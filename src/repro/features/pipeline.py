@@ -9,7 +9,6 @@ per-channel standardisation fitted on training data only.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -52,46 +51,21 @@ class CovariatePipeline:
     window_size:
         M, the number of frames per collection window.
     standardizer:
-        Optional fitted :class:`Standardizer` applied before slicing.
+        Optional fitted :class:`Standardizer`.  :meth:`covariates_at`
+        standardizes only the M rows it serves, so per-call work does not
+        grow with stream length; the transform is elementwise, so this is
+        bitwise equal to slicing a standardized matrix.
     """
-
-    #: Standardized matrices memoized per pipeline (one entry per stream a
-    #: deployment serves; large enough for big fleets).
-    _CACHE_ENTRIES = 64
 
     def __init__(self, window_size: int, standardizer: Optional[Standardizer] = None):
         if window_size <= 0:
             raise ValueError("window_size must be positive")
         self.window_size = window_size
         self.standardizer = standardizer
-        self._prepared_cache: "OrderedDict[int, tuple]" = OrderedDict()
 
     def min_frame(self) -> int:
         """Smallest frame index with a full collection window behind it."""
         return self.window_size - 1
-
-    def _prepared(self, features: FeatureMatrix) -> np.ndarray:
-        """Standardized (frames, channels) matrix, memoized per object.
-
-        The marshalling loop slices one window per horizon out of the same
-        matrix for the length of a stream; standardizing the whole matrix
-        on every slice would dominate serving time.  Entries are keyed by
-        object identity (feature matrices are never mutated in place) and
-        hold a reference to the keying object so ids cannot be recycled
-        while cached.
-        """
-        if self.standardizer is None:
-            return features.values
-        key = id(features)
-        hit = self._prepared_cache.get(key)
-        if hit is not None and hit[0] is features:
-            self._prepared_cache.move_to_end(key)
-            return hit[1]
-        values = self.standardizer.transform(features.values)
-        self._prepared_cache[key] = (features, values)
-        if len(self._prepared_cache) > self._CACHE_ENTRIES:
-            self._prepared_cache.popitem(last=False)
-        return values
 
     def covariates_at(self, features: FeatureMatrix, frame: int) -> np.ndarray:
         """The (M, D) covariate window ending at ``frame`` (inclusive)."""
@@ -100,8 +74,10 @@ class CovariatePipeline:
                 f"frame {frame} outside valid range "
                 f"[{self.min_frame()}, {features.num_frames})"
             )
-        values = self._prepared(features)
-        return values[frame - self.window_size + 1 : frame + 1]
+        window = features.values[frame - self.window_size + 1 : frame + 1]
+        if self.standardizer is None:
+            return window
+        return self.standardizer.transform(window)
 
     def covariate_batch(
         self, features: FeatureMatrix, frames: Sequence[int]
@@ -115,7 +91,9 @@ class CovariatePipeline:
                 f"frames outside valid range [{self.min_frame()}, "
                 f"{features.num_frames})"
             )
-        values = self._prepared(features)
+        values = features.values
+        if self.standardizer is not None:
+            values = self.standardizer.transform(values)
         offsets = np.arange(-self.window_size + 1, 1)
         index = frames[:, None] + offsets[None, :]
         return values[index]

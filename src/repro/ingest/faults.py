@@ -232,8 +232,7 @@ class IngestFaultInjector:
         """The corrupted copy of ``features`` this plan produces.
 
         The input is never mutated; with an empty plan the *same object*
-        is returned, so the zero-fault path costs nothing and downstream
-        memoization (``CovariatePipeline._prepared``) keys stay stable.
+        is returned, so the zero-fault path neither copies nor allocates.
         """
         plan = self.plan
         num_frames = features.num_frames

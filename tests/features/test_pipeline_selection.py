@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.features import (
     CovariatePipeline,
@@ -77,6 +80,79 @@ class TestCovariatePipeline:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             CovariatePipeline(0)
+
+
+@st.composite
+def windowed_matrices(draw):
+    """A feature matrix, a window size, a served frame and a standardizer."""
+    frames = draw(st.integers(1, 40))
+    channels = draw(st.integers(1, 5))
+    window = draw(st.integers(1, frames))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    values = draw(
+        arrays(dtype, (frames, channels), elements=st.floats(-1e6, 1e6, width=32))
+    )
+    mean = draw(arrays(np.float64, channels, elements=st.floats(-1e3, 1e3)))
+    std = draw(arrays(np.float64, channels, elements=st.floats(1e-3, 1e3)))
+    frame = draw(st.integers(window - 1, frames - 1))
+    fm = FeatureMatrix(values, [f"f{i}" for i in range(channels)])
+    return fm, window, frame, Standardizer(mean=mean, std=std)
+
+
+def bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+class TestSliceThenStandardize:
+    """Standardizing only the served rows is bitwise slicing a standardized
+    matrix: the transform is an elementwise IEEE subtract and divide."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(windowed_matrices())
+    def test_window_bitwise_equals_slice_of_transformed_matrix(self, case):
+        fm, window, frame, std = case
+        pipe = CovariatePipeline(window, standardizer=std)
+        expected = std.transform(fm.values)[frame - window + 1 : frame + 1]
+        assert bits(pipe.covariates_at(fm, frame)) == bits(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(windowed_matrices(), st.data())
+    def test_batch_rows_bitwise_equal_single_windows(self, case, data):
+        fm, window, _, std = case
+        frames = data.draw(
+            st.lists(st.integers(window - 1, fm.num_frames - 1), min_size=1, max_size=8)
+        )
+        pipe = CovariatePipeline(window, standardizer=std)
+        batch = pipe.covariate_batch(fm, frames)
+        for row, frame in zip(batch, frames):
+            assert bits(row) == bits(pipe.covariates_at(fm, frame))
+
+    @settings(max_examples=100, deadline=None)
+    @given(windowed_matrices())
+    def test_no_standardizer_serves_raw_rows(self, case):
+        fm, window, frame, _ = case
+        pipe = CovariatePipeline(window)
+        raw = fm.values[frame - window + 1 : frame + 1]
+        assert bits(pipe.covariates_at(fm, frame)) == bits(raw)
+        assert bits(pipe.covariate_batch(fm, [frame])[0]) == bits(raw)
+
+    @settings(max_examples=50, deadline=None)
+    @given(windowed_matrices())
+    def test_out_of_range_messages(self, case):
+        fm, window, _, std = case
+        pipe = CovariatePipeline(window, standardizer=std)
+        n = fm.num_frames
+        for frame in (window - 2, n):
+            with pytest.raises(ValueError) as single:
+                pipe.covariates_at(fm, frame)
+            assert str(single.value) == (
+                f"frame {frame} outside valid range [{window - 1}, {n})"
+            )
+            with pytest.raises(ValueError) as batch:
+                pipe.covariate_batch(fm, [frame])
+            assert str(batch.value) == (
+                f"frames outside valid range [{window - 1}, {n})"
+            )
 
 
 class TestFeatureSelection:

@@ -20,7 +20,7 @@ from repro.cloud import (
 )
 from repro.cloud.pricing import TieredPricing
 from repro.core import EventHitConfig, train_eventhit
-from repro.features import CovariatePipeline, FeatureExtractor
+from repro.features import CovariatePipeline, FeatureExtractor, Standardizer
 from repro.fleet import FleetCIService, FleetLane, FleetMarshaller
 from repro.obs import configure, get_registry
 from repro.video import make_stream, make_thumos
@@ -301,3 +301,53 @@ class TestValidation:
         assert service.stream is lanes[1].stream
         with pytest.raises(ValueError, match="not registered"):
             service.activate(make_stream(spec, seed=4242, name="stranger"))
+
+
+class CountingStandardizer(Standardizer):
+    """A :class:`Standardizer` that counts the rows it transforms."""
+
+    rows = 0
+
+    def transform(self, values):
+        self.rows += values.shape[0]
+        return super().transform(values)
+
+
+class TestStandardizationWork:
+    """Feature work per served window is M rows, however long the stream
+    and however many lanes the fleet reads round-robin."""
+
+    WIDE_LANES = 72
+    HORIZONS = 2
+
+    def wide_run(self, setup, scale):
+        spec, data, marshaller, _ = setup
+        counting = CountingStandardizer(
+            mean=data.standardizer.mean, std=data.standardizer.std
+        )
+        pipeline = CovariatePipeline(spec.window_size, standardizer=counting)
+        counted = StreamMarshaller(
+            marshaller.model, data.event_types, pipeline, tau1=0.5, tau2=0.5
+        )
+        lane_spec = make_thumos(scale=scale).with_events(["E7"])
+        extractor = FeatureExtractor()
+        lanes = []
+        for i in range(self.WIDE_LANES):
+            stream = make_stream(lane_spec, seed=2000 + i, name=f"wide{i}")
+            features = extractor.extract(stream, data.event_types)
+            lanes.append(FleetLane(stream=stream, features=features))
+        fleet = FleetMarshaller(counted, scheduler="round-robin")
+        report = fleet.run(lanes, fresh_service(lanes), max_horizons=self.HORIZONS)
+        rows = counting.rows
+        repeat = fleet.run(lanes, fresh_service(lanes), max_horizons=self.HORIZONS)
+        assert json.dumps(
+            report.to_dict(include_detections=True), sort_keys=True
+        ) == json.dumps(repeat.to_dict(include_detections=True), sort_keys=True)
+        return rows, lanes[0].features.num_frames
+
+    @pytest.mark.parametrize("scale", [0.03, 0.06])
+    def test_rows_standardized_are_lane_horizons_times_window(self, setup, scale):
+        spec = setup[0]
+        rows, stream_frames = self.wide_run(setup, scale)
+        assert stream_frames > spec.window_size
+        assert rows == self.WIDE_LANES * self.HORIZONS * spec.window_size
