@@ -45,22 +45,6 @@ class _DeferredSegment:
     deferrals: int = 1
 
 
-def _truth_frames_in(
-    stream: VideoStream, segment: StreamSegment, event_type: EventType
-) -> set:
-    """Ground-truth event frames of ``event_type`` inside ``segment``."""
-    frames: set = set()
-    for instance in stream.schedule.instances_of(event_type):
-        if instance.overlaps(segment.start, segment.end):
-            frames.update(
-                range(
-                    max(instance.start, segment.start),
-                    min(instance.end, segment.end) + 1,
-                )
-            )
-    return frames
-
-
 def _merge_runs(runs):
     """Merge overlapping/adjacent (start, end) offset runs after widening."""
     if not runs:
@@ -372,15 +356,10 @@ class StreamMarshaller:
 
     def _horizon_truth_frames(
         self, stream: VideoStream, frame: int, event_type: EventType
-    ) -> set:
-        """Absolute ground-truth frames of ``event_type`` in the horizon
+    ) -> int:
+        """Number of ground-truth frames of ``event_type`` in the horizon
         starting at ``frame`` (recall accounting; shared with the fleet)."""
-        truth_frames: set = set()
-        for ev in stream.schedule.events_in_horizon(event_type, frame, self.horizon):
-            truth_frames.update(
-                range(frame + ev.start_offset, frame + ev.end_offset + 1)
-            )
-        return truth_frames
+        return stream.schedule.frames_in(event_type, frame + 1, frame + self.horizon)
 
     # ------------------------------------------------------------------
     # Engine dispatch (shared with the fleet marshaller)
@@ -470,8 +449,9 @@ class StreamMarshaller:
         horizon's frames stay accounted under ``quarantined_frames``.
         """
         for event_type in self.event_types:
-            truth_frames = self._horizon_truth_frames(stream, frame, event_type)
-            report.true_event_frames += len(truth_frames)
+            report.true_event_frames += self._horizon_truth_frames(
+                stream, frame, event_type
+            )
             if quarantine_policy != "relay-all":
                 continue
             segment = stream.segment(frame + 1, frame + self.horizon)
@@ -517,8 +497,8 @@ class StreamMarshaller:
         """Give up on ``segment``: charge its frames as lost."""
         report.segments_failed += 1
         report.frames_lost += segment.num_frames
-        report.lost_event_frames += len(
-            _truth_frames_in(stream, segment, event_type)
+        report.lost_event_frames += stream.schedule.frames_in(
+            event_type, segment.start, segment.end
         )
         inc("marshal.segments_failed")
         inc("marshal.frames_lost", segment.num_frames)
@@ -551,11 +531,9 @@ class StreamMarshaller:
         """Accounting for a relay that succeeded outside its home horizon."""
         report.detections.extend(detections)
         report.frames_relayed += segment.num_frames
-        covered = set()
-        for det in detections:
-            covered.update(range(det.start, det.end + 1))
-        truth = _truth_frames_in(stream, segment, event_type)
-        report.detected_event_frames += len(covered & truth)
+        report.detected_event_frames += stream.schedule.covered_frames_in(
+            event_type, detections, segment.start, segment.end
+        )
 
     def _attempt_deferred(
         self,
@@ -722,12 +700,11 @@ class StreamMarshaller:
                     for k, event_type in enumerate(self.event_types):
                         # Ground truth within this horizon, for recall
                         # accounting.
-                        truth_frames = self._horizon_truth_frames(
+                        report.true_event_frames += self._horizon_truth_frames(
                             stream, frame, event_type
                         )
-                        report.true_event_frames += len(truth_frames)
 
-                        covered = set()
+                        covered: List[Detection] = []
                         for start_offset, end_offset in segments[0][k]:
                             segment = stream.segment(
                                 frame + start_offset, frame + end_offset
@@ -750,9 +727,12 @@ class StreamMarshaller:
                                 continue
                             report.detections.extend(detections)
                             report.frames_relayed += segment.num_frames
-                            for det in detections:
-                                covered.update(range(det.start, det.end + 1))
-                        report.detected_event_frames += len(covered & truth_frames)
+                            covered.extend(detections)
+                        report.detected_event_frames += (
+                            stream.schedule.covered_frames_in(
+                                event_type, covered, frame + 1, frame + horizon
+                            )
+                        )
 
                     report.horizons_evaluated += 1
                     report.frames_covered += horizon

@@ -167,16 +167,16 @@ class CloudInferenceService:
             self.ledger.charge(event_type.name, frames, cost)
             self._simulated_seconds += frames / self.ci_fps
 
-            detections: List[Detection] = []
-            for instance in self.stream.schedule.instances_of(event_type):
-                if instance.overlaps(segment.start, segment.end):
-                    detections.append(
-                        Detection(
-                            event_name=event_type.name,
-                            start=max(instance.start, segment.start),
-                            end=min(instance.end, segment.end),
-                        )
-                    )
+            detections = [
+                Detection(
+                    event_name=event_type.name,
+                    start=max(instance.start, segment.start),
+                    end=min(instance.end, segment.end),
+                )
+                for instance in self.stream.schedule.instances_between(
+                    event_type, segment.start, segment.end
+                )
+            ]
         observe("ci.call_seconds", call.seconds)
         inc("ci.requests")
         inc("ci.frames", frames)

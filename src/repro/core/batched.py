@@ -16,10 +16,11 @@ Correctness guarantee
 and likewise for ``frame_scores``.  BLAS-backed ``@`` does *not* satisfy
 this (GEMV vs. GEMM kernels change the per-row accumulation order by up to
 an ulp, which can flip a τ-threshold decision), so every affine map here
-goes through :func:`rowstable_matmul` — an einsum contraction whose
-per-row accumulation order depends only on the weight shape, never on the
-batch size.  The guarantee is what makes a fleet run byte-identical to N
-sequential runs; it is pinned by ``tests/core/test_batched.py``.
+goes through :func:`rowstable_matmul` — one ``(1, I) @ (I, O)`` BLAS call
+per row, whose accumulation order depends only on the weight shape, never
+on the batch size.  The guarantee is what makes a fleet run byte-identical
+to N sequential runs; it is pinned by ``tests/core/test_batched.py`` and
+``tests/core/test_rowstable_guard.py``.
 
 The engine reads the model's parameters live (no copies), so a retrained
 or fine-tuned model is served without rebuilding the engine.  Inference is
@@ -54,15 +55,17 @@ def rowstable_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """``x @ weight`` with a per-row accumulation order that does not
     depend on the number of rows.
 
-    ``np.einsum`` (non-optimized) reduces the contraction index with one
-    fixed-order loop per output element, so row ``i`` of the product is
-    bitwise identical whether ``x`` carries 1 row or 1000.  BLAS GEMM does
-    not make that promise — it picks different kernels (and therefore
-    different partial-sum orders) for different batch shapes.  Accepts any
-    leading batch shape (the fused LSTM forward projects the whole
-    ``(B, T, D)`` input in one contraction).
+    Each row is lifted to a ``(1, I)`` matrix, so ``np.matmul`` makes one
+    vector-matrix BLAS call per row (GEMV; DOT when ``O == 1``; numpy's
+    own loop when ``I == 1``).  Which kernel runs, and so the order it
+    sums in, is fixed by the weight's shape and the row's own layout —
+    never by how many rows ride along.  A plain ``x @ weight`` over the
+    whole batch hands BLAS one GEMM whose blocking, and therefore partial
+    sums, change with the row count.  Accepts any leading batch shape
+    (the fused LSTM forward projects the whole ``(B, T, D)`` input in one
+    call).
     """
-    return np.einsum("...i,io->...o", x, weight)
+    return np.matmul(x[..., None, :], weight)[..., 0, :]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -37,9 +37,11 @@ to the ungated continual path whenever zero gates fire.  Both pins live in
 ``tests/core/test_continual.py`` / ``tests/fleet/test_continual_fleet.py``.
 
 Like the batched engine, every matmul goes through
-:func:`~repro.core.batched.rowstable_matmul`, so per-lane results never
-depend on which other lanes share the batch — fleet serving stays bitwise
-equivalent to sequential serving.
+:func:`~repro.core.batched.rowstable_matmul` — one BLAS vector-matrix call
+per row, shaped by the weight alone — so per-lane results never depend on
+which other lanes share the batch, and the warm-up's 3-D hoisted
+projection equals the step kernel's per-frame 2-D ones bit for bit.
+Fleet serving stays bitwise equivalent to sequential serving.
 """
 
 from __future__ import annotations

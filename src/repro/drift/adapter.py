@@ -235,6 +235,7 @@ class AdaptiveMarshaller:
             raise ValueError("service must be bound to the same stream")
         report = AdaptiveReport()
         horizon = self.horizon
+        schedule = stream.schedule
         frame = self.pipeline.min_frame()
 
         while frame + horizon < stream.length:
@@ -256,12 +257,12 @@ class AdaptiveMarshaller:
                     segment = stream.segment(frame + 1, frame + horizon)
                     detections = service.detect(segment, event_type)
                     report.frames_relayed += segment.num_frames
-                    covered = set()
-                    for det in detections:
-                        covered.update(range(det.start, det.end + 1))
-                    truth_frames = self._truth_frames(stream, frame, event_type)
-                    report.true_event_frames += len(truth_frames)
-                    report.detected_event_frames += len(covered & truth_frames)
+                    report.true_event_frames += schedule.frames_in(
+                        event_type, frame + 1, frame + horizon
+                    )
+                    report.detected_event_frames += schedule.covered_frames_in(
+                        event_type, detections, frame + 1, frame + horizon
+                    )
 
                 # Feedback: drift statistics + calibration buffer.
                 missed = bool(np.any((truth_labels > 0) & ~exists[0]))
@@ -284,8 +285,9 @@ class AdaptiveMarshaller:
                     report.recalibrations += 1
             else:
                 for j, event_type in enumerate(self.event_types):
-                    truth_frames = self._truth_frames(stream, frame, event_type)
-                    report.true_event_frames += len(truth_frames)
+                    report.true_event_frames += schedule.frames_in(
+                        event_type, frame + 1, frame + horizon
+                    )
                     if not exists[0, j]:
                         continue
                     segment = stream.segment(
@@ -294,10 +296,9 @@ class AdaptiveMarshaller:
                     )
                     detections = service.detect(segment, event_type)
                     report.frames_relayed += segment.num_frames
-                    covered = set()
-                    for det in detections:
-                        covered.update(range(det.start, det.end + 1))
-                    report.detected_event_frames += len(covered & truth_frames)
+                    report.detected_event_frames += schedule.covered_frames_in(
+                        event_type, detections, frame + 1, frame + horizon
+                    )
 
             report.horizons_evaluated += 1
             report.frames_covered += horizon
@@ -305,9 +306,3 @@ class AdaptiveMarshaller:
 
         report.total_cost = service.ledger.total_cost
         return report
-
-    def _truth_frames(self, stream: VideoStream, frame: int, event_type) -> set:
-        out = set()
-        for ev in stream.schedule.events_in_horizon(event_type, frame, self.horizon):
-            out.update(range(frame + ev.start_offset, frame + ev.end_offset + 1))
-        return out

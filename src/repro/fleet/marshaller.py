@@ -336,10 +336,9 @@ class FleetMarshaller:
         for i, state in enumerate(active):
             segments = segments_rows[i]
             for k, event_type in enumerate(m.event_types):
-                truth_frames = m._horizon_truth_frames(
+                state.report.true_event_frames += m._horizon_truth_frames(
                     state.stream, state.frame, event_type
                 )
-                state.report.true_event_frames += len(truth_frames)
                 for start_offset, end_offset in segments[k]:
                     segment = state.stream.segment(
                         state.frame + start_offset, state.frame + end_offset
@@ -369,10 +368,9 @@ class FleetMarshaller:
         m = self.marshaller
         requests: List[RelayRequest] = []
         for event_type in m.event_types:
-            truth_frames = m._horizon_truth_frames(
+            state.report.true_event_frames += m._horizon_truth_frames(
                 state.stream, state.frame, event_type
             )
-            state.report.true_event_frames += len(truth_frames)
             if quarantine_policy != "relay-all":
                 continue
             segment = state.stream.segment(

@@ -5,17 +5,23 @@ set of independent event types ``E = {E_1 .. E_k}``; each event *instance*
 occupies an *occurrence interval* ``(T^s .. T^e)``.  This module provides the
 plain-data containers for those concepts plus the :class:`EventSchedule`
 query surface used everywhere else: occupancy masks, "events in the next
-horizon", and censoring per Fig. 2.
+horizon", censoring per Fig. 2, and the O(log n) interval queries behind
+ground-truth recall accounting.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["EventType", "EventInstance", "HorizonEvent", "EventSchedule"]
+
+#: Per-type interval index: sorted starts, sorted ends, and the prefix sum
+#: of durations (``prefix[i]`` is the total duration of the first i).
+_Index = Tuple[List[int], List[int], List[int]]
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,13 @@ class EventSchedule:
         Event instances; they are bucketed by type and sorted by start.
         Instances of the same type must not overlap (the paper's events of a
         given type are disjoint in time).
+
+    Because same-type instances are disjoint, their starts *and* ends are
+    both sorted, so the instances overlapping any frame range form one
+    contiguous run of the bucket.  ``__init__`` indexes each type once —
+    sorted starts, sorted ends, and a prefix sum of durations — and
+    :meth:`instances_between` / :meth:`frames_in` answer range queries by
+    bisection instead of scanning (or materialising) every frame.
     """
 
     def __init__(self, length: int, instances: Iterable[EventInstance]):
@@ -152,6 +165,16 @@ class EventSchedule:
                         f"overlapping instances of {name!r}: "
                         f"[{prev.start},{prev.end}] and [{cur.start},{cur.end}]"
                     )
+        self._index: Dict[str, _Index] = {}
+        for name, bucket in self._by_type.items():
+            prefix = [0]
+            for inst in bucket:
+                prefix.append(prefix[-1] + inst.duration)
+            self._index[name] = (
+                [inst.start for inst in bucket],
+                [inst.end for inst in bucket],
+                prefix,
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -190,14 +213,70 @@ class EventSchedule:
         Feature extraction uses this to shape the precursor ramp (the ramp
         anticipates each upcoming onset).
         """
+        starts = np.asarray(self._lookup(event_type)[0], dtype=np.int64)
+        frames = np.arange(self.length)
+        upcoming = np.searchsorted(starts, frames, side="left")
         dist = np.full(self.length, np.inf)
-        next_onset = np.inf
-        starts = {inst.start for inst in self._by_type.get(event_type.name, [])}
-        for t in range(self.length - 1, -1, -1):
-            if t in starts:
-                next_onset = t
-            dist[t] = next_onset - t if np.isfinite(next_onset) else np.inf
+        ahead = upcoming < len(starts)
+        dist[ahead] = starts[upcoming[ahead]] - frames[ahead]
         return dist
+
+    # ------------------------------------------------------------------
+    # Interval queries (ground-truth accounting)
+    # ------------------------------------------------------------------
+    _EMPTY_INDEX: _Index = ([], [], [0])
+
+    def _lookup(self, event_type: EventType) -> _Index:
+        return self._index.get(event_type.name, self._EMPTY_INDEX)
+
+    def instances_between(
+        self, event_type: EventType, start: int, end: int
+    ) -> List[EventInstance]:
+        """Instances of ``event_type`` overlapping ``[start, end]``, sorted
+        by start (exactly the ``EventInstance.overlaps`` filter)."""
+        starts, ends, _ = self._lookup(event_type)
+        # First instance whose end reaches ``start`` .. first that starts
+        # after ``end``.
+        lo, hi = bisect_left(ends, start), bisect_right(starts, end)
+        return self._by_type.get(event_type.name, [])[lo:hi]
+
+    def frames_in(self, event_type: EventType, start: int, end: int) -> int:
+        """Number of frames in ``[start, end]`` where ``event_type`` occurs
+        (0 for an empty range)."""
+        if start > end:
+            return 0
+        starts, ends, prefix = self._lookup(event_type)
+        lo, hi = bisect_left(ends, start), bisect_right(starts, end)
+        if lo >= hi:
+            return 0
+        # Whole durations of the run, minus the parts of its first and
+        # last instance that stick out of the range.
+        return (
+            prefix[hi]
+            - prefix[lo]
+            - max(0, start - starts[lo])
+            - max(0, ends[hi - 1] - end)
+        )
+
+    def covered_frames_in(
+        self, event_type: EventType, spans: Iterable, start: int, end: int
+    ) -> int:
+        """Frames of ``event_type`` in ``[start, end]`` that the union of
+        ``spans`` covers.
+
+        ``spans`` are inclusive ``start``/``end`` ranges (detections,
+        segments); they may overlap each other and reach past the range.
+        Walking the spans in start order, each counts only past the last
+        frame already counted, so no frame counts twice.
+        """
+        total = 0
+        counted = start - 1
+        for lo, hi in sorted((span.start, span.end) for span in spans):
+            lo, hi = max(lo, counted + 1), min(hi, end)
+            if lo <= hi:
+                total += self.frames_in(event_type, lo, hi)
+                counted = hi
+        return total
 
     # ------------------------------------------------------------------
     # Horizon queries (paper Fig. 2)
@@ -216,11 +295,9 @@ class EventSchedule:
             raise ValueError(f"frame {frame} outside stream [0, {self.length})")
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        window_start, window_end = frame + 1, frame + horizon
+        window_end = frame + horizon
         found: List[HorizonEvent] = []
-        for inst in self._by_type.get(event_type.name, []):
-            if not inst.overlaps(window_start, window_end):
-                continue
+        for inst in self.instances_between(event_type, frame + 1, window_end):
             start_offset = max(1, inst.start - frame)
             censored = inst.end > window_end
             end_offset = horizon if censored else inst.end - frame

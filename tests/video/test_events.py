@@ -1,8 +1,10 @@
 """Tests for event types, instances, and schedules."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.video import EventInstance, EventSchedule, EventType, HorizonEvent
@@ -211,3 +213,140 @@ class TestHorizonEventValidation:
             HorizonEvent(ET, start_offset=0, end_offset=5, censored=False)
         with pytest.raises(ValueError):
             HorizonEvent(ET, start_offset=5, end_offset=4, censored=False)
+
+
+# ----------------------------------------------------------------------
+# Interval index: every O(log n) query against the linear code it replaced
+# ----------------------------------------------------------------------
+Span = namedtuple("Span", "start end")
+
+
+@st.composite
+def disjoint_schedules(draw):
+    """A random schedule of two event types, each disjoint per type (same
+    -type instances may touch; cross-type ones may overlap freely)."""
+    length = draw(st.integers(1, 300))
+    instances = []
+    for event_type in (ET, ET2):
+        frame = draw(st.integers(0, 20))
+        for gap, duration in draw(
+            st.lists(st.tuples(st.integers(0, 30), st.integers(1, 40)), max_size=12)
+        ):
+            start = frame + gap
+            end = min(start + duration - 1, length - 1)
+            if start > end:
+                break
+            instances.append(EventInstance(start, end, event_type))
+            frame = end + 1
+    return EventSchedule(length, instances)
+
+
+def time_to_next_onset_loop(sched, event_type):
+    """The original per-frame backward scan, kept as the oracle."""
+    dist = np.full(sched.length, np.inf)
+    next_onset = np.inf
+    starts = {inst.start for inst in sched.instances_of(event_type)}
+    for t in range(sched.length - 1, -1, -1):
+        if t in starts:
+            next_onset = t
+        dist[t] = next_onset - t if np.isfinite(next_onset) else np.inf
+    return dist
+
+
+def events_in_horizon_linear(sched, event_type, frame, horizon):
+    found = []
+    for inst in sched.instances_of(event_type):
+        if inst.overlaps(frame + 1, frame + horizon):
+            censored = inst.end > frame + horizon
+            found.append(
+                HorizonEvent(
+                    event_type=inst.event_type,
+                    start_offset=max(1, inst.start - frame),
+                    end_offset=horizon if censored else inst.end - frame,
+                    censored=censored,
+                )
+            )
+    return found
+
+
+def truth_set(sched, event_type, start, end):
+    return {
+        f
+        for inst in sched.instances_of(event_type)
+        for f in inst.frames()
+        if start <= f <= end
+    }
+
+
+ranges = st.tuples(st.integers(0, 340), st.integers(-5, 340))
+
+
+class TestIntervalIndex:
+    @given(sched=disjoint_schedules(), bounds=st.lists(ranges, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_frames_in_matches_occupancy_mask(self, sched, bounds):
+        edges = [(0, sched.length - 1), (0, 0), (sched.length - 1, sched.length - 1),
+                 (sched.length - 1, sched.length + 10), (5, 4)]
+        for event_type in (ET, ET2, EventType("ghost", 5, 1)):
+            mask = sched.occupancy_mask(event_type)
+            for a, b in list(bounds) + edges:
+                expected = int(mask[a : b + 1].sum()) if a <= b else 0
+                assert sched.frames_in(event_type, a, b) == expected
+
+    @given(sched=disjoint_schedules(), bounds=st.lists(ranges, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_instances_between_matches_overlaps_filter(self, sched, bounds):
+        for event_type in (ET, ET2, EventType("ghost", 5, 1)):
+            for a, b in bounds:
+                linear = [
+                    inst for inst in sched.instances_of(event_type)
+                    if inst.overlaps(a, b)
+                ]
+                assert sched.instances_between(event_type, a, b) == linear
+
+    @given(
+        sched=disjoint_schedules(),
+        frames=st.lists(st.integers(0, 299), max_size=6),
+        horizon=st.integers(1, 120),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_events_in_horizon_matches_linear_oracle(self, sched, frames, horizon):
+        for frame in frames:
+            if frame >= sched.length:
+                continue
+            for event_type in (ET, ET2):
+                assert sched.events_in_horizon(
+                    event_type, frame, horizon
+                ) == events_in_horizon_linear(sched, event_type, frame, horizon)
+
+    @given(
+        sched=disjoint_schedules(),
+        spans=st.lists(
+            st.tuples(st.integers(-10, 320), st.integers(0, 60)), max_size=6
+        ),
+        bounds=ranges,
+    )
+    @settings(max_examples=120, deadline=None)
+    @example(
+        sched=EventSchedule(100, [EventInstance(10, 19, ET)]), spans=[], bounds=(0, 99)
+    )
+    def test_covered_frames_in_matches_set_arithmetic(self, sched, spans, bounds):
+        # Overlapping detections, detections reaching past the range on
+        # either side, and no detections at all.
+        detections = [Span(lo, lo + width) for lo, width in spans]
+        a, b = bounds
+        for event_type in (ET, ET2):
+            covered = set()
+            for det in detections:
+                covered.update(range(det.start, det.end + 1))
+            expected = len(covered & truth_set(sched, event_type, a, b))
+            assert sched.covered_frames_in(event_type, detections, a, b) == expected
+
+    @given(sched=disjoint_schedules())
+    @settings(max_examples=80, deadline=None)
+    def test_time_to_next_onset_matches_loop_bitwise(self, sched):
+        for event_type in (ET, ET2, EventType("ghost", 5, 1)):
+            fast = sched.time_to_next_onset(event_type)
+            slow = time_to_next_onset_loop(sched, event_type)
+            assert fast.dtype == slow.dtype == np.float64
+            assert fast.tobytes() == slow.tobytes()
