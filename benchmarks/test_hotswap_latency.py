@@ -88,7 +88,7 @@ def test_hotswap_latency(benchmark, swap_setup, save_result):
         controller._pending = (entry, candidate)
 
     def swap():
-        assert controller.maybe_swap(report, tick=MAX_HORIZONS)
+        assert controller.maybe_swap([report], tick=MAX_HORIZONS)
 
     benchmark.pedantic(swap, setup=stage, rounds=ROUNDS, iterations=1)
     swap_s = benchmark.stats.stats.min

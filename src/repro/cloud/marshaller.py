@@ -1,20 +1,23 @@
-"""The runtime marshalling loop of Fig. 1.
+"""The marshalling decision policy of Fig. 1 and its report.
 
 Deployment works horizon by horizon: at the current frame the marshaller
 assembles the collection window, asks EventHit (optionally through
 C-CLASSIFY / C-REGRESS) *if* and *when* each event will occur in the next
 time horizon, relays only the predicted occurrence intervals to the CI, and
-then advances to the next horizon.  Everything the paper's case studies
-measure — relayed frames, dollar cost, recall of true event frames — is
-collected in the :class:`MarshallingReport`.
+then advances to the next horizon.
+
+:class:`StreamMarshaller` holds the policy: model, conformal layers,
+thresholds, and :meth:`~StreamMarshaller.decide`.  The horizon loop itself
+is :class:`~repro.fleet.marshaller.FleetMarshaller`; a single-stream
+:meth:`~StreamMarshaller.run` is a one-lane fleet run.  Everything the
+paper's case studies measure — relayed frames, dollar cost, recall of true
+event frames — is collected in the :class:`MarshallingReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from ..conformal.classify import ConformalClassifier
 from ..conformal.regress import ConformalRegressor
@@ -23,26 +26,16 @@ from ..core.inference import extract_interval_segments, extract_intervals
 from ..core.model import EventHit
 from ..features.extractors import FeatureMatrix
 from ..features.pipeline import CovariatePipeline
-from ..ingest.guard import HEALTHY, QUARANTINED, GuardedStream, StreamGuard
-from ..obs import inc, is_enabled, log_info, set_gauge, span
+from ..ingest.guard import StreamGuard
+from ..obs import inc
 from ..video.events import EventType
-from ..video.stream import StreamSegment, VideoStream
-from .faults import CIError
+from ..video.stream import VideoStream
 from .service import CloudInferenceService, Detection
 
 __all__ = ["MarshallingReport", "StreamMarshaller", "FAILURE_POLICIES"]
 
 #: Valid ``failure_policy`` values for :meth:`StreamMarshaller.run`.
 FAILURE_POLICIES = ("raise", "skip", "defer")
-
-
-@dataclass
-class _DeferredSegment:
-    """A relay that exhausted its retries, queued for a later horizon."""
-
-    segment: StreamSegment
-    event_type: EventType
-    deferrals: int = 1
 
 
 def _merge_runs(runs):
@@ -214,7 +207,11 @@ class MarshallingReport:
 
 
 class StreamMarshaller:
-    """Drive EventHit (+ optional conformal layers) over a live stream.
+    """The marshalling policy: EventHit plus optional conformal layers.
+
+    :meth:`decide` turns one batched forward pass into relay segments;
+    :meth:`run` marshals a single stream as a one-lane
+    :class:`~repro.fleet.marshaller.FleetMarshaller` run.
 
     Parameters
     ----------
@@ -244,10 +241,9 @@ class StreamMarshaller:
     inference:
         Optional :class:`~repro.core.batched.BatchedInference` engine to
         run the per-horizon forward pass through.  Defaults to a fresh
-        engine over ``model``; sharing one engine across a fleet of
-        marshallers is what makes batched multi-stream serving bitwise
-        equivalent to sequential runs (the engine is batch-size
-        invariant).
+        engine over ``model``.  The engine is batch-size invariant, which
+        is what makes an N-lane fleet run bitwise equivalent to N
+        single-stream runs.
     """
 
     def __init__(
@@ -295,7 +291,7 @@ class StreamMarshaller:
         self.horizon = model.config.horizon
 
     # ------------------------------------------------------------------
-    def _decide(self, output) -> tuple:
+    def decide(self, output) -> tuple:
         """(exists (B,K) bool, segments[b][k] = [(start, end), ...]).
 
         Batch-native: every underlying operation (conformal p-values,
@@ -354,214 +350,6 @@ class StreamMarshaller:
         ]
         return exists, segments
 
-    def _horizon_truth_frames(
-        self, stream: VideoStream, frame: int, event_type: EventType
-    ) -> int:
-        """Number of ground-truth frames of ``event_type`` in the horizon
-        starting at ``frame`` (recall accounting; shared with the fleet)."""
-        return stream.schedule.frames_in(event_type, frame + 1, frame + self.horizon)
-
-    # ------------------------------------------------------------------
-    # Engine dispatch (shared with the fleet marshaller)
-    # ------------------------------------------------------------------
-    def _engine_forward(
-        self,
-        windows: np.ndarray,
-        keys: Sequence[str],
-        end_frames: Sequence[int],
-    ) -> "EventHitOutput":
-        """Score stacked windows through whichever engine is bound.
-
-        Stateful engines (anything exposing ``update``) get lane keys and
-        absolute end frames so they can carry recurrence state across
-        ticks; the stateless windowed engine just sees the windows.  Duck
-        typing keeps the marshalling loop engine-agnostic — the same loop
-        serves ``windowed``, ``continual``, and ``gated``.
-        """
-        update = getattr(self.inference, "update", None)
-        if update is not None:
-            return update(windows, keys, end_frames)
-        return self.inference.predict(windows)
-
-    def _engine_reset(self, keys: Optional[Sequence[str]] = None) -> None:
-        """Drop carried engine state for ``keys`` (no-op when stateless).
-
-        Called at run start, on quarantine entry, and on guard-voided
-        horizons: any carried state may have consumed frames the guard no
-        longer vouches for, so the engine must warm up from the next full
-        (clean) window.
-        """
-        reset = getattr(self.inference, "reset", None)
-        if reset is not None:
-            reset(keys)
-
-    # ------------------------------------------------------------------
-    # Ingest-guard bookkeeping (shared with the fleet marshaller)
-    # ------------------------------------------------------------------
-    def _guard_bookkeeping(
-        self, guarded: GuardedStream, frame: int, report: "MarshallingReport"
-    ) -> Tuple[int, bool]:
-        """Per-horizon guard accounting; returns ``(health, voided)`` at
-        ``frame`` (the decision point — the end of the collection
-        window).  ``health`` is what the caller routes on; ``voided``
-        flags horizons whose conformal guarantee no longer holds, which
-        stateful engines use as a state-drop trigger (their carried
-        recurrence may have consumed imputed or invalid frames)."""
-        horizon = self.horizon
-        health = guarded.state_at(frame)
-        lo, hi = frame + 1, frame + horizon + 1
-        invalid = guarded.invalid_count(lo, hi)
-        imputed = guarded.imputed_count(lo, hi)
-        report.frames_invalid += invalid
-        report.frames_imputed += imputed
-        report.health_transitions += guarded.transitions_in(lo, hi)
-        window_dirty = (
-            guarded.invalid_count(frame - self.pipeline.window_size + 1, frame + 1)
-            > 0
-        )
-        voided = health != HEALTHY or window_dirty or invalid > 0
-        if voided:
-            # C-CLASSIFY / C-REGRESS coverage is calibrated on clean,
-            # exchangeable windows; none of that holds here.
-            report.guarantee_voided_frames += horizon
-            inc("ingest.guarantee_voided", horizon)
-        if health == QUARANTINED:
-            report.quarantined_frames += horizon
-            inc("stream.health.quarantined_horizons")
-        set_gauge("stream.health.state", health)
-        return health, voided
-
-    def _quarantine_horizon(
-        self,
-        stream: VideoStream,
-        frame: int,
-        service: CloudInferenceService,
-        report: "MarshallingReport",
-        quarantine_policy: str,
-        failure_policy: str,
-        pending: List[_DeferredSegment],
-    ) -> None:
-        """Conservative fallback for a quarantined horizon.
-
-        The model's input is untrustworthy, so no prediction is made:
-        ``"relay-all"`` ships the whole horizon to the CI per event type
-        (spend money, miss nothing), ``"skip"`` relays nothing and the
-        horizon's frames stay accounted under ``quarantined_frames``.
-        """
-        for event_type in self.event_types:
-            report.true_event_frames += self._horizon_truth_frames(
-                stream, frame, event_type
-            )
-            if quarantine_policy != "relay-all":
-                continue
-            segment = stream.segment(frame + 1, frame + self.horizon)
-            try:
-                detections = service.detect(segment, event_type)
-            except CIError as exc:
-                if failure_policy == "raise":
-                    raise
-                if failure_policy == "skip":
-                    self._fail_segment(stream, segment, event_type, report, exc)
-                else:
-                    self._defer_segment(
-                        _DeferredSegment(segment, event_type), pending, report
-                    )
-            else:
-                self._credit_success(
-                    stream, segment, event_type, detections, report
-                )
-
-    # ------------------------------------------------------------------
-    # Degraded-mode bookkeeping
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _advance_service_clock(service, seconds: float) -> None:
-        """Tell a resilience-aware service that stream time passed.
-
-        One horizon of the stream takes horizon/fps wall seconds; a
-        circuit breaker waiting out its recovery window needs that time to
-        flow even while it rejects every call.  Plain services ignore it.
-        """
-        advance = getattr(service, "advance_clock", None)
-        if advance is not None:
-            advance(seconds)
-
-    def _fail_segment(
-        self,
-        stream: VideoStream,
-        segment: StreamSegment,
-        event_type: EventType,
-        report: MarshallingReport,
-        error: CIError,
-    ) -> None:
-        """Give up on ``segment``: charge its frames as lost."""
-        report.segments_failed += 1
-        report.frames_lost += segment.num_frames
-        report.lost_event_frames += stream.schedule.frames_in(
-            event_type, segment.start, segment.end
-        )
-        inc("marshal.segments_failed")
-        inc("marshal.frames_lost", segment.num_frames)
-        log_info(
-            "marshal.segment_lost",
-            start=segment.start,
-            end=segment.end,
-            event_type=event_type.name,
-            error=type(error).__name__,
-        )
-
-    def _defer_segment(
-        self,
-        item: _DeferredSegment,
-        pending: List[_DeferredSegment],
-        report: MarshallingReport,
-    ) -> None:
-        report.segments_deferred += 1
-        pending.append(item)
-        inc("marshal.segments_deferred")
-
-    def _credit_success(
-        self,
-        stream: VideoStream,
-        segment: StreamSegment,
-        event_type: EventType,
-        detections: List[Detection],
-        report: MarshallingReport,
-    ) -> None:
-        """Accounting for a relay that succeeded outside its home horizon."""
-        report.detections.extend(detections)
-        report.frames_relayed += segment.num_frames
-        report.detected_event_frames += stream.schedule.covered_frames_in(
-            event_type, detections, segment.start, segment.end
-        )
-
-    def _attempt_deferred(
-        self,
-        pending: List[_DeferredSegment],
-        stream: VideoStream,
-        service: CloudInferenceService,
-        report: MarshallingReport,
-        max_deferrals: int,
-    ) -> List[_DeferredSegment]:
-        """One retry round over the deferral queue; returns what remains."""
-        still_pending: List[_DeferredSegment] = []
-        for item in pending:
-            try:
-                detections = service.detect(item.segment, item.event_type)
-            except CIError as exc:
-                if item.deferrals >= max_deferrals:
-                    self._fail_segment(
-                        stream, item.segment, item.event_type, report, exc
-                    )
-                else:
-                    item.deferrals += 1
-                    self._defer_segment(item, still_pending, report)
-            else:
-                self._credit_success(
-                    stream, item.segment, item.event_type, detections, report
-                )
-        return still_pending
-
     def run(
         self,
         stream: VideoStream,
@@ -576,6 +364,12 @@ class StreamMarshaller:
     ) -> MarshallingReport:
         """Marshal ``stream`` horizon by horizon through ``service``.
 
+        A one-lane :meth:`FleetMarshaller.run
+        <repro.fleet.marshaller.FleetMarshaller.run>` over ``service``
+        (a plain :class:`~repro.cloud.service.CloudInferenceService`, or a
+        fault/resilience wrapper stack around one, bound to ``stream``),
+        returning that lane's report.
+
         ``failure_policy`` decides what happens when ``service.detect``
         raises a :class:`~repro.cloud.faults.CIError` (retries, if any,
         already exhausted inside the service wrapper):
@@ -584,10 +378,11 @@ class StreamMarshaller:
           contract of the original loop.
         * ``"skip"`` — drop the segment, charging its frames to
           ``frames_lost`` / ``lost_event_frames``.
-        * ``"defer"`` — re-queue the segment into the next horizon (the
-          queue drains at stream end, so deferrals are clamped to it);
-          a segment failing more than ``max_deferrals`` times is charged
-          as lost, which bounds the run even under sustained faults.
+        * ``"defer"`` — re-queue the segment into the next horizon, ahead
+          of that horizon's fresh relays (the queue drains at stream end,
+          so deferrals are clamped to it); a segment failing more than
+          ``max_deferrals`` times is charged as lost, which bounds the run
+          even under sustained faults.
 
         ``guard``, when given, sanitizes ``features`` before any window is
         cut (imputation replaces invalid values, the health state machine
@@ -599,166 +394,32 @@ class StreamMarshaller:
 
         ``lifecycle``, when given, is a
         :class:`~repro.lifecycle.LifecycleController` (duck-typed: any
-        object with ``maybe_swap`` / ``observe``): staged model swaps are
-        applied at horizon boundaries — before the window is cut, so a
-        fresh version never decides from a stale forward pass — and every
-        decided horizon is offered for audit.  A lifecycle that never
+        object with ``maybe_swap`` / ``observe_batch``): staged model
+        swaps are applied at horizon boundaries — before the window is
+        cut, so a fresh version never decides from a stale forward pass —
+        and every decided horizon is offered for audit.  A lifecycle that never
         swaps leaves the report byte-identical to a run without one.
         """
         if features.num_frames != stream.length:
             raise ValueError("feature matrix length != stream length")
         if service.stream is not stream:
             raise ValueError("service must be bound to the same stream")
-        if failure_policy not in FAILURE_POLICIES:
-            raise ValueError(
-                f"failure_policy must be one of {FAILURE_POLICIES}, "
-                f"got {failure_policy!r}"
-            )
-        if max_deferrals < 1:
-            raise ValueError("max_deferrals must be >= 1")
-        guarded: Optional[GuardedStream] = None
-        if guard is not None:
-            guarded = guard.sanitize(features)
-            features = guarded.features
-        report = MarshallingReport()
-        horizon = self.horizon
-        frame = start_frame if start_frame is not None else self.pipeline.min_frame()
-        if frame < self.pipeline.min_frame():
-            raise ValueError("start_frame leaves no room for the collection window")
+        # Imported here: the fleet package imports this module.
+        from ..fleet.marshaller import FleetLane, FleetMarshaller
 
-        cost_before = service.ledger.total_cost
-        retries_before = getattr(getattr(service, "stats", None), "retries", 0)
-        pending: List[_DeferredSegment] = []
-        self._engine_reset()  # a fresh run never inherits carried state
-        with span("marshal.run", start_frame=frame, horizon=horizon):
-            while frame + horizon < stream.length:
-                if (
-                    max_horizons is not None
-                    and report.horizons_evaluated >= max_horizons
-                ):
-                    break
-                with span("marshal.horizon", frame=frame):
-                    if pending:
-                        pending = self._attempt_deferred(
-                            pending, stream, service, report, max_deferrals
-                        )
-                    if is_enabled():
-                        # Backpressure: how much deferred work is queued
-                        # in front of this horizon.
-                        set_gauge("marshal.backlog.segments", len(pending))
-                        set_gauge(
-                            "marshal.backlog.frames",
-                            sum(d.segment.num_frames for d in pending),
-                        )
-                    if guarded is not None:
-                        health, voided = self._guard_bookkeeping(
-                            guarded, frame, report
-                        )
-                        if voided:
-                            # Carried recurrence state may include imputed
-                            # or invalid frames — drop it; the engine
-                            # warms up from the next full window.
-                            self._engine_reset([stream.name])
-                        if health == QUARANTINED:
-                            # Model input is untrustworthy: skip the
-                            # forward pass, fall back conservatively.
-                            self._quarantine_horizon(
-                                stream,
-                                frame,
-                                service,
-                                report,
-                                guard.quarantine_policy,
-                                failure_policy,
-                                pending,
-                            )
-                            report.horizons_evaluated += 1
-                            report.frames_covered += horizon
-                            frame += horizon
-                            self._advance_service_clock(
-                                service, horizon / stream.fps
-                            )
-                            continue
-                    if lifecycle is not None:
-                        lifecycle.maybe_swap(
-                            report, tick=report.horizons_evaluated
-                        )
-                    window = self.pipeline.covariates_at(features, frame)
-                    output = self._engine_forward(
-                        window[None], [stream.name], [frame]
-                    )
-                    exists, segments = self._decide(output)
-                    if lifecycle is not None:
-                        lifecycle.observe(
-                            stream,
-                            frame,
-                            window,
-                            output,
-                            exists,
-                            tick=report.horizons_evaluated,
-                        )
-
-                    for k, event_type in enumerate(self.event_types):
-                        # Ground truth within this horizon, for recall
-                        # accounting.
-                        report.true_event_frames += self._horizon_truth_frames(
-                            stream, frame, event_type
-                        )
-
-                        covered: List[Detection] = []
-                        for start_offset, end_offset in segments[0][k]:
-                            segment = stream.segment(
-                                frame + start_offset, frame + end_offset
-                            )
-                            try:
-                                detections = service.detect(segment, event_type)
-                            except CIError as exc:
-                                if failure_policy == "raise":
-                                    raise
-                                if failure_policy == "skip":
-                                    self._fail_segment(
-                                        stream, segment, event_type, report, exc
-                                    )
-                                else:
-                                    self._defer_segment(
-                                        _DeferredSegment(segment, event_type),
-                                        pending,
-                                        report,
-                                    )
-                                continue
-                            report.detections.extend(detections)
-                            report.frames_relayed += segment.num_frames
-                            covered.extend(detections)
-                        report.detected_event_frames += (
-                            stream.schedule.covered_frames_in(
-                                event_type, covered, frame + 1, frame + horizon
-                            )
-                        )
-
-                    report.horizons_evaluated += 1
-                    report.frames_covered += horizon
-                    frame += horizon
-                self._advance_service_clock(service, horizon / stream.fps)
-
-            if pending:
-                # Stream exhausted with relays still queued: drain in
-                # bounded rounds (each failure consumes a deferral).
-                with span("marshal.drain", pending=len(pending)):
-                    while pending:
-                        pending = self._attempt_deferred(
-                            pending, stream, service, report, max_deferrals
-                        )
-                        self._advance_service_clock(service, horizon / stream.fps)
-
-        report.total_cost = service.ledger.total_cost - cost_before
-        report.retries = (
-            getattr(getattr(service, "stats", None), "retries", 0) - retries_before
+        fleet = FleetMarshaller(self).run(
+            [FleetLane(stream, features)],
+            service,
+            start_frame=start_frame,
+            max_horizons=max_horizons,
+            failure_policy=failure_policy,
+            max_deferrals=max_deferrals,
+            guard=guard,
+            lifecycle=lifecycle,
         )
-        inc("marshal.horizons", report.horizons_evaluated)
-        inc("marshal.frames_covered", report.frames_covered)
-        inc("marshal.frames_relayed", report.frames_relayed)
-        inc("marshal.cost", report.total_cost)
-        inc("stage.frames_covered", report.frames_covered)
-        inc("stage.frames_featurized", report.frames_covered)
-        inc("stage.predictions", report.horizons_evaluated)
-        inc("stage.frames_relayed", report.frames_relayed)
+        report = fleet.per_stream[stream.name]
+        # The lane is the whole account: bill it the ledger's delta over
+        # this run, not a replay from zero frames (the two differ under
+        # tiered pricing when ``service`` has billed earlier runs).
+        report.total_cost = fleet.shared_cost
         return report

@@ -145,6 +145,23 @@ class CloudInferenceService:
         self.ledger.reset()
         self._simulated_seconds = 0.0
 
+    def has_stream(self, stream: VideoStream) -> bool:
+        """Whether this account answers for exactly ``stream``."""
+        return stream is self.stream
+
+    def activate(self, stream: VideoStream) -> "CloudInferenceService":
+        """Route subsequent ``detect`` calls to ``stream``.
+
+        A plain service is a one-stream account, so the only stream it
+        can activate is its own; :class:`~repro.fleet.service.FleetCIService`
+        overrides both methods for a registry of streams.
+        """
+        if not self.has_stream(stream):
+            raise ValueError(
+                f"stream {stream.name!r} is not registered with this service"
+            )
+        return self
+
     # ------------------------------------------------------------------
     def detect(
         self, segment: StreamSegment, event_type: EventType

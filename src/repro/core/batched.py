@@ -31,7 +31,7 @@ graph, which also makes the single-stream path measurably faster than
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -112,6 +112,29 @@ class BatchedInference:
         state (the post-swap warm-up is the state rebase).
         """
         return type(self)(model)
+
+    # ------------------------------------------------------------------
+    # Serving protocol: the marshalling loop calls only these two
+    # ------------------------------------------------------------------
+    def update(
+        self,
+        windows: np.ndarray,
+        keys: Sequence[str],
+        end_frames: Sequence[int],
+    ) -> EventHitOutput:
+        """Score one tick's stacked windows for the lanes ``keys``.
+
+        This engine carries no state between ticks, so it is
+        :meth:`predict`; stateful engines override it to advance each
+        lane to its window's end frame (``end_frames``).
+        """
+        return self.predict(windows)
+
+    def reset(self, keys: Optional[Sequence[str]] = None) -> None:
+        """Drop carried state for ``keys`` (all lanes when ``None``).
+
+        A no-op here; stateful engines override it.
+        """
 
     # ------------------------------------------------------------------
     # Layer evaluators (eval-mode, raw numpy)

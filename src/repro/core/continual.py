@@ -175,7 +175,7 @@ class ContinualInference(BatchedInference):
     def reset(self, keys: Optional[Sequence[str]] = None) -> None:
         """Drop carried state for ``keys`` (all lanes when ``None``).
 
-        The marshallers call this on quarantine entry, on guard-voided
+        The marshalling loop calls this on quarantine entry, on guard-voided
         horizons, and at run start — any point where the carried state
         may have consumed frames the guard no longer vouches for.
         """

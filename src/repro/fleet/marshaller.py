@@ -1,9 +1,11 @@
 """Marshal a fleet of streams through one shared CI account.
 
-The sequential :class:`~repro.cloud.marshaller.StreamMarshaller` serves one
-stream with a private service.  Deployments watch *many* cameras, and the
-two expensive resources — the EventHit forward pass and the CI account —
-are both batchable:
+This is the repository's one horizon loop: a single-stream
+:meth:`StreamMarshaller.run <repro.cloud.marshaller.StreamMarshaller.run>`
+is a one-lane run of it over a plain
+:class:`~repro.cloud.service.CloudInferenceService`.  Deployments watch
+*many* cameras, and the two expensive resources — the EventHit forward pass
+and the CI account — are both batchable:
 
 * **Inference** — every tick, all active lanes' collection windows are
   stacked into one ``(num_streams, window, features)`` tensor and pushed
@@ -19,25 +21,26 @@ are both batchable:
 Equivalence contract
 --------------------
 With the ``round-robin`` scheduler, no budget, and a fault-free service,
-``FleetMarshaller.run`` produces **byte-identical** per-stream
-:class:`~repro.cloud.marshaller.MarshallingReport` dicts to N sequential
-``StreamMarshaller.run`` calls over private services: round-robin keeps
-each lane's relay order FIFO, and per-lane costs are attributed by
-replaying the pricing model against a per-lane *shadow ledger* (so a
-lane's ``total_cost`` is what its private account would have billed, even
-though the shared ledger pools the frames).  ``tests/fleet`` pins this.
+an N-lane ``FleetMarshaller.run`` produces **byte-identical** per-stream
+:class:`~repro.cloud.marshaller.MarshallingReport` dicts to N one-lane runs
+(``StreamMarshaller.run`` over private services): round-robin keeps each
+lane's relay order FIFO — deferred relays ahead of fresh ones — and
+per-lane costs are attributed by replaying the pricing model against a
+per-lane *shadow ledger* (so a lane's ``total_cost`` is what its private
+account would have billed, even though the shared ledger pools the
+frames).  ``tests/fleet`` pins this.
 
 With a budget or a different scheduler, the fleet trades that exact
 equivalence for throughput/QoS control: relays may land ticks later (the
 CI clock differs), but no relay is ever dropped by scheduling — only the
-failure policy can drop work, exactly as in the sequential loop.
+failure policy can drop work.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +48,13 @@ from ..cloud.faults import CIError
 from ..cloud.marshaller import FAILURE_POLICIES, MarshallingReport, StreamMarshaller
 from ..cloud.service import UsageLedger
 from ..features.extractors import FeatureMatrix
-from ..ingest.guard import HEALTH_STATES, QUARANTINED, GuardedStream, StreamGuard
+from ..ingest.guard import (
+    HEALTH_STATES,
+    HEALTHY,
+    QUARANTINED,
+    GuardedStream,
+    StreamGuard,
+)
 from ..obs import (
     get_flight_recorder,
     inc,
@@ -57,6 +66,7 @@ from ..obs import (
     span,
     update_slos,
 )
+from ..video.events import EventType
 from ..video.stream import VideoStream
 from .scheduler import (
     FleetScheduler,
@@ -238,8 +248,10 @@ class FleetMarshaller:
         """The object in the service stack that owns ``activate``.
 
         Walks the wrapper chain (``ResilientCIClient.service``,
-        ``FaultInjector.service``, …) down to the
-        :class:`~repro.fleet.service.FleetCIService`.
+        ``FaultInjector.service``, …) down to the account: a
+        :class:`~repro.fleet.service.FleetCIService`, or a plain
+        :class:`~repro.cloud.service.CloudInferenceService` serving its
+        one stream.
         """
         target = service
         while target is not None:
@@ -247,8 +259,8 @@ class FleetMarshaller:
                 return target
             target = getattr(target, "service", None)
         raise TypeError(
-            "fleet service stack has no activate(); wrap streams in a "
-            "FleetCIService"
+            "service stack has no activate(); wrap a CloudInferenceService "
+            "or FleetCIService"
         )
 
     def _make_states(
@@ -312,7 +324,7 @@ class FleetMarshaller:
                 for state in active
             ]
         )
-        output = m._engine_forward(
+        output = m.inference.update(
             windows,
             [state.name for state in active],
             [state.frame for state in active],
@@ -320,8 +332,8 @@ class FleetMarshaller:
         observe("fleet.batch_size", len(active))
         # One batch-native decision pass for every lane: row i of the
         # batched output (and its segments) is bitwise the lane's solo
-        # prediction, so this reproduces the sequential decisions.
-        exists_rows, segments_rows = m._decide(output)
+        # prediction, so this reproduces each lane's one-lane decisions.
+        exists_rows, segments_rows = m.decide(output)
         if lifecycle is not None:
             # Offer the decided tick for audit before frames advance;
             # observation never mutates marshaller or report state.
@@ -336,7 +348,7 @@ class FleetMarshaller:
         for i, state in enumerate(active):
             segments = segments_rows[i]
             for k, event_type in enumerate(m.event_types):
-                state.report.true_event_frames += m._horizon_truth_frames(
+                state.report.true_event_frames += self._horizon_truth_frames(
                     state.stream, state.frame, event_type
                 )
                 for start_offset, end_offset in segments[k]:
@@ -368,7 +380,7 @@ class FleetMarshaller:
         m = self.marshaller
         requests: List[RelayRequest] = []
         for event_type in m.event_types:
-            state.report.true_event_frames += m._horizon_truth_frames(
+            state.report.true_event_frames += self._horizon_truth_frames(
                 state.stream, state.frame, event_type
             )
             if quarantine_policy != "relay-all":
@@ -411,7 +423,7 @@ class FleetMarshaller:
             report.shed_transitions += 1
             inc("fleet.shed.degraded")
             inc("fleet.shed.degraded." + state.name)
-            self.marshaller._engine_reset([state.name])
+            self.marshaller.inference.reset([state.name])
             kind = "shed"
         else:
             report.readmit_transitions += 1
@@ -451,9 +463,17 @@ class FleetMarshaller:
         backlog: List[RelayRequest],
     ) -> None:
         """Relay one scheduled segment to the shared CI, attributing its
-        billing to the lane's shadow ledger."""
-        m = self.marshaller
+        billing to the lane's shadow ledger.
+
+        A relay the CI rejects is re-queued on ``backlog`` under the
+        ``"defer"`` policy until it has been deferred ``max_deferrals``
+        times; after that, or under ``"skip"``, its frames are charged as
+        lost.
+        """
         activate(state.stream)
+        report = state.report
+        segment, event_type = request.segment, request.event_type
+        schedule = state.stream.schedule
         ledger = service.ledger
         frames_before = ledger.frames_processed
         requests_before = ledger.requests
@@ -461,49 +481,108 @@ class FleetMarshaller:
         retries_before = getattr(stats, "retries", 0)
         try:
             try:
-                detections = service.detect(request.segment, request.event_type)
+                detections = service.detect(segment, event_type)
             except CIError as error:
                 if failure_policy == "raise":
                     raise
                 if failure_policy == "skip" or request.deferrals >= max_deferrals:
-                    m._fail_segment(
-                        state.stream,
-                        request.segment,
-                        request.event_type,
-                        state.report,
-                        error,
+                    report.segments_failed += 1
+                    report.frames_lost += segment.num_frames
+                    report.lost_event_frames += schedule.frames_in(
+                        event_type, segment.start, segment.end
+                    )
+                    inc("marshal.segments_failed")
+                    inc("marshal.frames_lost", segment.num_frames)
+                    log_info(
+                        "marshal.segment_lost",
+                        start=segment.start,
+                        end=segment.end,
+                        event_type=event_type.name,
+                        error=type(error).__name__,
                     )
                 else:
                     request.deferrals += 1
-                    m._defer_segment(request, backlog, state.report)
+                    report.segments_deferred += 1
+                    backlog.append(request)
+                    inc("marshal.segments_deferred")
             else:
-                m._credit_success(
-                    state.stream,
-                    request.segment,
-                    request.event_type,
-                    detections,
-                    state.report,
+                report.detections.extend(detections)
+                report.frames_relayed += segment.num_frames
+                report.detected_event_frames += schedule.covered_frames_in(
+                    event_type, detections, segment.start, segment.end
                 )
                 inc("fleet.sched.flushed")
         finally:
-            state.report.retries += getattr(stats, "retries", 0) - retries_before
+            report.retries += getattr(stats, "retries", 0) - retries_before
             # Replay whatever the shared ledger billed (0 under a rejected
             # call, possibly >1 request under retry wrappers) against the
             # lane-local frame count.
             billed_frames = ledger.frames_processed - frames_before
             billed_requests = ledger.requests - requests_before
             if billed_frames > 0 or billed_requests > 0:
-                pricing = self._pricing(service)
+                pricing = service.pricing
                 cost = pricing.cost(
                     state.shadow.frames_processed + billed_frames
                 ) - pricing.cost(state.shadow.frames_processed)
-                state.shadow.charge(
-                    request.event_type.name, billed_frames, cost
-                )
+                state.shadow.charge(event_type.name, billed_frames, cost)
+
+    # ------------------------------------------------------------------
+    # Per-lane bookkeeping
+    # ------------------------------------------------------------------
+    def _horizon_truth_frames(
+        self, stream: VideoStream, frame: int, event_type: EventType
+    ) -> int:
+        """Number of ground-truth frames of ``event_type`` in the horizon
+        starting at ``frame`` (recall accounting)."""
+        return stream.schedule.frames_in(
+            event_type, frame + 1, frame + self.marshaller.horizon
+        )
+
+    def _guard_bookkeeping(
+        self, guarded: GuardedStream, frame: int, report: MarshallingReport
+    ) -> Tuple[int, bool]:
+        """Per-horizon guard accounting; returns ``(health, voided)`` at
+        ``frame`` (the decision point — the end of the collection
+        window).  ``health`` is what the caller routes on; ``voided``
+        flags horizons whose conformal guarantee no longer holds, which
+        stateful engines use as a state-drop trigger (their carried
+        recurrence may have consumed imputed or invalid frames)."""
+        m = self.marshaller
+        horizon = m.horizon
+        health = guarded.state_at(frame)
+        lo, hi = frame + 1, frame + horizon + 1
+        invalid = guarded.invalid_count(lo, hi)
+        imputed = guarded.imputed_count(lo, hi)
+        report.frames_invalid += invalid
+        report.frames_imputed += imputed
+        report.health_transitions += guarded.transitions_in(lo, hi)
+        window_dirty = (
+            guarded.invalid_count(frame - m.pipeline.window_size + 1, frame + 1)
+            > 0
+        )
+        voided = health != HEALTHY or window_dirty or invalid > 0
+        if voided:
+            # C-CLASSIFY / C-REGRESS coverage is calibrated on clean,
+            # exchangeable windows; none of that holds here.
+            report.guarantee_voided_frames += horizon
+            inc("ingest.guarantee_voided", horizon)
+        if health == QUARANTINED:
+            report.quarantined_frames += horizon
+            inc("stream.health.quarantined_horizons")
+        set_gauge("stream.health.state", health)
+        return health, voided
 
     @staticmethod
-    def _pricing(service):
-        return service.pricing
+    def _advance_service_clock(service, seconds: float) -> None:
+        """Tell a resilience-aware service that stream time passed.
+
+        One horizon of the stream takes horizon/fps wall seconds; a
+        circuit breaker waiting out its recovery window needs that time to
+        flow even while it rejects every call.  Plain services ignore it.
+        """
+        advance = getattr(service, "advance_clock", None)
+        if advance is not None:
+            advance(seconds)
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -662,10 +741,12 @@ class FleetMarshaller:
         the last lane finishes its horizons, drain ticks flush the
         remaining backlog (budget still applies).
 
-        ``service`` may be a :class:`~repro.fleet.service.FleetCIService`
-        or any wrapper stack around one (fault injector, resilient
-        client); ``failure_policy`` and ``max_deferrals`` behave exactly
-        as in :meth:`StreamMarshaller.run`, per lane.
+        ``service`` may be a :class:`~repro.fleet.service.FleetCIService`,
+        a plain :class:`~repro.cloud.service.CloudInferenceService` (which
+        serves only its own stream, so one lane), or any wrapper stack
+        around either (fault injector, resilient client);
+        ``failure_policy`` and ``max_deferrals`` apply per lane as
+        documented on :meth:`StreamMarshaller.run`.
 
         ``guard``, when given, sanitizes every lane's features up front
         (the guard is stateless, so one instance serves the fleet) and
@@ -720,7 +801,7 @@ class FleetMarshaller:
         activate = fleet_service.activate
         states = self._make_states(list(lanes), fleet_service, start_frame, guard)
         by_name = {state.name: state for state in states}
-        m._engine_reset()  # a fresh fleet run never inherits carried state
+        m.inference.reset()  # a fresh run never inherits carried state
         fps = states[0].stream.fps
 
         report = FleetReport(scheduler=self.scheduler.name)
@@ -795,14 +876,14 @@ class FleetMarshaller:
                         # batched forward and fall back conservatively.
                         predicting = []
                         for state in serving:
-                            health, voided = m._guard_bookkeeping(
+                            health, voided = self._guard_bookkeeping(
                                 state.guarded, state.frame, state.report
                             )
                             if voided:
                                 # Stateful engines drop this lane's
                                 # carried state: it may span imputed or
                                 # invalid frames.
-                                m._engine_reset([state.name])
+                                m.inference.reset([state.name])
                             if health == QUARANTINED:
                                 if (
                                     telemetry
@@ -860,7 +941,7 @@ class FleetMarshaller:
                         )
                         report.relays_flushed += 1
                         spent += request.frames
-                    m._advance_service_clock(service, m.horizon / fps)
+                    self._advance_service_clock(service, m.horizon / fps)
                 report.ticks += 1
                 if telemetry:
                     self._tick_telemetry(

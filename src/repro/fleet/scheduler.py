@@ -8,8 +8,8 @@ fleet's quality-of-service policy:
 
 * ``round-robin`` — fair interleaving of per-stream FIFO queues (the
   rotation origin advances with the tick).  Within one stream, relay
-  order is exactly the sequential marshaller's order, which is what makes
-  a zero-fault fleet run byte-identical to N sequential runs.
+  order is exactly a one-lane run's order, which is what makes a
+  zero-fault fleet run byte-identical to N one-lane runs.
 * ``deadline`` — earliest-deadline-first: segments whose predicted
   occurrence starts at the earliest absolute frame flush first, so
   nearly-due events are never starved by a busy neighbour stream.

@@ -10,12 +10,12 @@ hot-swaps it into the serving marshaller at a horizon boundary.
 
 Contracts the tests pin:
 
-* **observation is free** — :meth:`~LifecycleController.observe` /
-  :meth:`~LifecycleController.observe_batch` never touch the marshaller,
-  the CI service, or the report.  Audit ground truth is read from the
-  stream's schedule (the simulator stand-in for a full-relay audit) and
-  the audit coin-flips come from a controller-private RNG, so a run that
-  never swaps is **byte-identical** to a run without the lifecycle layer.
+* **observation is free** — :meth:`~LifecycleController.observe_batch`
+  never touches the marshaller, the CI service, or the report.  Audit
+  ground truth is read from the stream's schedule (the simulator stand-in
+  for a full-relay audit) and the audit coin-flips come from a
+  controller-private RNG, so a run that never swaps is **byte-identical**
+  to a run without the lifecycle layer.
 * **swaps are atomic and honest** — :meth:`~LifecycleController.maybe_swap`
   applies a staged candidate between horizons: model, batched-inference
   engine, and both conformal components are rebound and recalibrated on
@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cloud.marshaller import MarshallingReport
 from ..core.model import EventHit
 from ..core.trainer import train_eventhit
 from ..data.records import RecordSet
@@ -233,15 +232,8 @@ class LifecycleController:
         return entry
 
     # ------------------------------------------------------------------
-    # Observation hooks (free: never touch marshaller, service, report)
+    # Observation hook (free: never touches marshaller, service, report)
     # ------------------------------------------------------------------
-    def observe(self, stream, frame: int, window, output, exists, tick: int = 0) -> None:
-        """Single-stream hook: one decided horizon (window ``(W, F)``,
-        batch-of-one ``output`` / ``exists``)."""
-        self.observe_batch(
-            [(stream, frame)], np.asarray(window)[None], output, exists, tick
-        )
-
     def observe_batch(self, rows, windows, output, exists, tick: int = 0) -> None:
         """Fleet hook: one decided tick.
 
@@ -423,16 +415,14 @@ class LifecycleController:
     def maybe_swap(self, reports, tick: int = 0) -> bool:
         """Apply a staged candidate at a horizon/tick boundary.
 
-        ``reports`` is the active lane report (or the sequence of them,
-        for a fleet tick): each gets one horizon of ``swap_voided_frames``
+        ``reports`` is the sequence of lane reports predicting on this
+        tick: each gets one horizon of ``swap_voided_frames``
         — the declared price of not carrying the conformal guarantee
         across versions.  No-op (and no state touched) when nothing is
         staged, which is what keeps the zero-swap run byte-identical.
         """
         if self._pending is None:
             return False
-        if isinstance(reports, MarshallingReport):
-            reports = [reports]
         entry, model = self._pending
         self._pending = None
         m = self.marshaller

@@ -20,6 +20,7 @@ from repro.cloud import (
     RetryPolicy,
     StreamMarshaller,
 )
+from repro.cloud.pricing import TieredPricing
 from repro.core import EventHit, EventHitConfig
 from repro.data import build_experiment_data
 from repro.features import CovariatePipeline
@@ -92,6 +93,22 @@ class TestTotalCostIsPerRun:
         # identical inputs -> identical per-run cost, on a shared ledger
         assert second.total_cost == pytest.approx(first.total_cost)
         assert service.ledger.total_cost == pytest.approx(2 * first.total_cost)
+
+    def test_second_run_bills_the_ledger_delta_under_tiers(self, setup):
+        """Under tiered pricing a later run on the same account pays the
+        cheaper tier it actually reached, not a replay from zero frames."""
+        data, _, _ = setup
+        service = CloudInferenceService(
+            data.test_stream, pricing=TieredPricing(((0, 0.001), (1, 0.0005)))
+        )
+        marshaller = make_marshaller(setup)
+        first = marshaller.run(data.test_stream, data.test_features, service)
+        second = marshaller.run(data.test_stream, data.test_features, service)
+        assert first.frames_relayed == second.frames_relayed > 0
+        assert second.total_cost < first.total_cost
+        assert second.total_cost == pytest.approx(
+            service.ledger.total_cost - first.total_cost
+        )
 
 
 class TestZeroFaultIdentity:

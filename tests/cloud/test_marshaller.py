@@ -173,13 +173,15 @@ class TestMarshallerObservability:
                 snap["histograms"]["ci.call_seconds"]["count"]
                 == service.ledger.requests
             )
+        # A single-stream run is a one-lane fleet run: one tick per
+        # horizon on this fault-free run (nothing left to drain).
         names = [r.name for r in obs.get_tracer().records]
-        assert names.count("marshal.run") == 1
-        assert names.count("marshal.horizon") == report.horizons_evaluated
-        horizon_spans = [
-            r for r in obs.get_tracer().records if r.name == "marshal.horizon"
+        assert names.count("fleet.run") == 1
+        assert names.count("fleet.tick") == report.horizons_evaluated
+        tick_spans = [
+            r for r in obs.get_tracer().records if r.name == "fleet.tick"
         ]
-        assert all(r.parent == "marshal.run" for r in horizon_spans)
+        assert all(r.parent == "fleet.run" for r in tick_spans)
 
     def test_widening_counter_counts_conformal_regress_use(self, setup):
         from repro import obs

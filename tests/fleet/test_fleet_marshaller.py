@@ -264,11 +264,43 @@ class TestObservability:
 
 
 class TestValidation:
-    def test_service_without_activate_rejected(self, setup):
+    def test_plain_service_serves_its_one_lane(self, setup):
+        # A plain CloudInferenceService is a one-stream account: bare or
+        # under a fault/resilience wrapper stack, it serves a one-lane
+        # fleet run exactly as a one-stream FleetCIService does.
+        spec, data, marshaller, lanes = setup
+        lane = lanes[0]
+        reference = FleetMarshaller(marshaller).run(
+            [lane], FleetCIService([lane.stream]), max_horizons=MAX_HORIZONS
+        )
+        want = json.dumps(reference.to_dict(include_detections=True))
+        plain = CloudInferenceService(lane.stream)
+        stack = ResilientCIClient(
+            FaultInjector(CloudInferenceService(lane.stream), FaultPlan()),
+            policy=RetryPolicy(max_attempts=1),
+        )
+        for service in (plain, stack):
+            result = FleetMarshaller(marshaller).run(
+                [lane], service, max_horizons=MAX_HORIZONS
+            )
+            assert json.dumps(result.to_dict(include_detections=True)) == want
+        assert result.per_stream[lane.name].horizons_evaluated == MAX_HORIZONS
+        assert plain.ledger.frames_processed == reference.shared_frames > 0
+
+    def test_plain_service_rejects_another_stream(self, setup):
         spec, data, marshaller, lanes = setup
         plain = CloudInferenceService(lanes[0].stream)
-        with pytest.raises(TypeError, match="activate"):
-            FleetMarshaller(marshaller).run(lanes[:1], plain, max_horizons=1)
+        with pytest.raises(ValueError, match="not registered"):
+            FleetMarshaller(marshaller).run(lanes[1:2], plain, max_horizons=1)
+        with pytest.raises(ValueError, match="not registered"):
+            plain.activate(lanes[1].stream)
+
+    def test_plain_service_rejects_a_second_lane(self, setup):
+        spec, data, marshaller, lanes = setup
+        plain = CloudInferenceService(lanes[0].stream)
+        with pytest.raises(ValueError, match="not registered"):
+            FleetMarshaller(marshaller).run(lanes[:2], plain, max_horizons=1)
+        assert plain.ledger.requests == 0
 
     def test_unregistered_lane_rejected(self, setup):
         spec, data, marshaller, lanes = setup

@@ -568,3 +568,76 @@ def test_binary_write_rules_exempt_the_atomic_writers(tmp_path):
     assert scan_binary_writes(registry, root=tmp_path) == []
 
 
+# ----------------------------------------------------------------------
+# Serving loop: no private calls across objects in fleet/ and cloud/
+# ----------------------------------------------------------------------
+# The horizon loop has one owner, FleetMarshaller.  A fleet or cloud
+# module that calls ``other._helper(...)`` on another object is how a
+# second copy of that loop grows back: the helper stays in one class
+# while the loop that needs it lives in another.  Calls on ``self``/``cls``
+# and dunder calls (``super().__init__``, ``object.__setattr__``) are
+# fine; everything else goes through a public method.
+
+PRIVATE_CALL_SUBDIRS = ("fleet", "cloud")
+
+
+def scan_private_calls(path, root=None):
+    """Calls to ``_``-prefixed methods on a receiver other than
+    ``self``/``cls`` in one file."""
+    root = root or SRC_ROOT.parent
+    rel = path.relative_to(root) if path.is_relative_to(root) else path
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call) or not isinstance(
+            node.func, ast.Attribute
+        ):
+            continue
+        name = node.func.attr
+        if not name.startswith("_") or (
+            name.startswith("__") and name.endswith("__")
+        ):
+            continue
+        receiver = node.func.value
+        if isinstance(receiver, ast.Name) and receiver.id in ("self", "cls"):
+            continue
+        found.append(
+            (
+                node.lineno,
+                f"{rel}:{node.lineno}: {ast.unparse(node.func)}( — private "
+                "call on another object; give the helper one owner or make "
+                "it public",
+            )
+        )
+    return [message for _, message in sorted(found)]
+
+
+def test_fleet_and_cloud_make_no_private_calls_across_objects():
+    violations = []
+    for sub in PRIVATE_CALL_SUBDIRS:
+        for path in sorted((SRC_ROOT / sub).rglob("*.py")):
+            violations.extend(scan_private_calls(path))
+    assert not violations, "\n".join(violations)
+
+
+def test_private_call_scan_catches_planted_violations(tmp_path):
+    planted = tmp_path / "bad.py"
+    planted.write_text(
+        '"""m._decide(output) in a docstring is fine."""\n'
+        "class Loop:\n"
+        "    def run(self, m):\n"
+        "        self._tick()\n"  # own method: allowed
+        "        m._decide(output)\n"
+        "        self.marshaller._engine_reset([name])\n"
+        "        super().__init__()\n"  # dunder: allowed
+        "        object.__setattr__(self, 'x', 1)\n"  # dunder: allowed
+        "        m.decide(output)\n"  # public: allowed
+        "        value = m._cache\n"  # attribute read, not a call
+        "\n"
+        "    @classmethod\n"
+        "    def build(cls):\n"
+        "        return cls._make()\n"  # own class: allowed
+    )
+    hits = scan_private_calls(planted, root=tmp_path)
+    assert len(hits) == 2
+    assert "bad.py:5" in hits[0] and "m._decide" in hits[0]
+    assert "bad.py:6" in hits[1] and "self.marshaller._engine_reset" in hits[1]
