@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from . import obs
@@ -50,6 +51,7 @@ from .cloud import (
     RetryPolicy,
 )
 from .fleet import (
+    FAIL_FAST,
     PARTITIONS,
     SCHEDULERS,
     FleetCIService,
@@ -149,9 +151,10 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--supervise",
         action="store_true",
-        help="run the sharded fleet under the self-healing shard "
-        "supervisor (liveness FSM, checkpointed deterministic restarts, "
-        "rescue/degrade escalation); implied by any --shard-fault-* flag",
+        help="make the sharded fleet self-healing: checkpointed "
+        "deterministic restarts and rescue/degrade escalation instead of "
+        "the default fail-fast (liveness deadlines apply either way); "
+        "implied by any --shard-fault-* flag",
     )
     parser.add_argument(
         "--shard-fault-plan",
@@ -220,8 +223,8 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
         default=120.0,
         metavar="SECONDS",
         help="per-shard startup deadline (worker must say hello within "
-        "this budget; unsupervised runs fail fast naming the shard, "
-        "supervised runs restart it)",
+        "this budget; by default the run fails fast naming the shard, "
+        "under --supervise it is restarted)",
     )
 
 
@@ -229,8 +232,9 @@ def _shard_supervision(args: argparse.Namespace):
     """Resolve the shard fault plan and supervisor config from CLI flags.
 
     Returns ``(supervisor, plan)``; any ``--shard-fault-*`` flag implies
-    supervision (an unsupervised coordinator would just surface the
-    injected crash as a run failure).
+    supervision (a fail-fast coordinator would just surface the injected
+    crash as a run failure); otherwise the config is ``FAIL_FAST`` with
+    ``--startup-timeout`` as its startup deadline.
     """
     plan = None
     if args.shard_fault_plan is not None:
@@ -243,17 +247,16 @@ def _shard_supervision(args: argparse.Namespace):
     if args.shard_fault_plan_out is not None and plan is not None:
         with open(args.shard_fault_plan_out, "w", encoding="utf-8") as handle:
             handle.write(plan.to_json())
-    supervisor = None
-    if args.supervise or plan is not None:
-        supervisor = SupervisorConfig(
-            suspect_after=args.suspect_after,
-            dead_after=args.dead_after,
-            startup_deadline=args.startup_timeout,
-            max_restarts=args.max_restarts,
-            escalation=args.escalation,
-            checkpoint_every=args.checkpoint_every,
-        )
-    return supervisor, plan
+    if not (args.supervise or plan is not None):
+        return replace(FAIL_FAST, startup_deadline=args.startup_timeout), plan
+    return SupervisorConfig(
+        suspect_after=args.suspect_after,
+        dead_after=args.dead_after,
+        startup_deadline=args.startup_timeout,
+        max_restarts=args.max_restarts,
+        escalation=args.escalation,
+        checkpoint_every=args.checkpoint_every,
+    ), plan
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -813,7 +816,6 @@ def _run_fleet(args: argparse.Namespace, out) -> None:
             start_method=args.start_method,
             supervisor=supervisor,
             shard_fault_plan=shard_plan,
-            startup_timeout=args.startup_timeout,
         )
         report = sharded.run(lanes, max_horizons=args.max_horizons)
     else:
@@ -867,14 +869,14 @@ def _run_fleet(args: argparse.Namespace, out) -> None:
             f"ledger_requests: {report.ledger.requests}",
             file=out,
         )
-        _print_supervision(report, out)
+        _print_supervision(report, supervisor, out)
 
 
-def _print_supervision(report, out) -> None:
-    """Render the supervisor's post-run summary (supervised runs only)."""
-    supervision = getattr(report, "supervision", None)
-    if not supervision:
+def _print_supervision(report, supervisor, out) -> None:
+    """Render the post-run recovery summary (none for fail-fast runs)."""
+    if supervisor.escalation == "raise":
         return
+    supervision = report.supervision
     print(file=out)
     print("== supervision ==", file=out)
     liveness = supervision["liveness"]
@@ -1052,13 +1054,12 @@ def _run_watch_sharded(args: argparse.Namespace, out, experiment, lanes) -> None
         heartbeat_every=max(1, args.refresh_ticks),
         supervisor=supervisor,
         shard_fault_plan=shard_plan,
-        startup_timeout=args.startup_timeout,
     )
     failure_policy = args.failure_policy if args.fault_rate > 0 else "raise"
     title = (
         f"repro watch | {args.task} | {args.streams} streams "
         f"| {args.shards} shards"
-        + (" | supervised" if supervisor is not None else "")
+        + (" | supervised" if args.supervise or shard_plan is not None else "")
     )
     print(title, file=out)
     if shard_plan is not None and shard_plan.faults:
@@ -1091,7 +1092,7 @@ def _run_watch_sharded(args: argparse.Namespace, out, experiment, lanes) -> None
         max_horizons=args.max_horizons,
         failure_policy=failure_policy,
         on_heartbeat=progress,
-        on_liveness=liveness if supervisor is not None else None,
+        on_liveness=liveness,
     )
 
     print(file=out)
@@ -1118,7 +1119,7 @@ def _run_watch_sharded(args: argparse.Namespace, out, experiment, lanes) -> None
         f"cost={report.ledger.total_cost:.4f}",
         file=out,
     )
-    _print_supervision(report, out)
+    _print_supervision(report, supervisor, out)
     recorder = obs.get_flight_recorder()
     if recorder.dumps:
         print(file=out)

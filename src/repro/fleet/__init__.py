@@ -15,10 +15,11 @@ ledgers, and observability exactly, while :class:`AdmissionController`
 bounds intake and sheds pressured lanes to a degraded relay-all tier —
 never dropping frames.
 
-The fleet also survives its own processes: a
-:class:`SupervisorConfig` turns the coordinator into a self-healing
-control plane (liveness FSM, checkpointed deterministic restarts,
-rescue/degrade escalation), and a seeded :class:`ShardFaultPlan`
+The fleet also survives its own processes: every sharded run is driven
+by a :class:`SupervisorConfig` — fail-fast by default
+(:data:`FAIL_FAST`), a self-healing control plane with a restart budget
+(liveness FSM, checkpointed deterministic restarts, rescue/degrade
+escalation) — and a seeded :class:`ShardFaultPlan`
 injects the process-level chaos (crash / SIGKILL / stall / slow /
 startup hang) that proves it.
 """
@@ -50,6 +51,7 @@ from .shard_faults import (
     ShardFaultPlan,
 )
 from .supervisor import (
+    FAIL_FAST,
     LIVENESS_STATES,
     CheckpointCorruption,
     ShardCheckpoint,
@@ -98,6 +100,7 @@ __all__ = [
     "striped_partition",
     "make_partition",
     "SupervisorConfig",
+    "FAIL_FAST",
     "ShardSupervisor",
     "SupervisorEvent",
     "ShardCheckpoint",

@@ -31,21 +31,20 @@ the results exactly:
 Worker processes communicate over one duplex pipe each: a hello message
 on startup (the spawn deadline's signal), heartbeat messages per tick
 (the coordinator's liveness/progress signal), periodic self-checksummed
-:class:`~repro.fleet.supervisor.ShardCheckpoint` snapshots when
-supervision is on, and a single :class:`ShardResult` at the end.
-Workers never share state.  Without supervision a crashed shard
-surfaces as a :class:`RuntimeError` naming the shard and carrying its
-traceback — but every exit path now terminates, joins, and closes the
-whole worker set first, so a failed run never leaks children or pipes.
+:class:`~repro.fleet.supervisor.ShardCheckpoint` snapshots when a
+restart budget makes a replay possible, and a single
+:class:`ShardResult` at the end.  Workers never share state.
 
-With a :class:`~repro.fleet.supervisor.SupervisorConfig` the
-coordinator becomes self-healing: every wait is bounded, a liveness FSM
-(LIVE→SUSPECT→DEAD) reaps crashed *and* wedged workers, dead shards
-respawn under a bounded restart budget and replay deterministically
-(verified checkpoint-by-checkpoint), and shards that exhaust the budget
-escalate — their lanes re-run in the coordinator, exactly
-(``"rescue"``) or through the relay-all degraded tier (``"degrade"``) —
-so frames are never dropped and the merged ledger stays exactly-once.
+The one coordinator loop is always supervised: every wait is bounded
+and a liveness FSM (LIVE→SUSPECT→DEAD) reaps crashed *and* wedged
+workers.  Under the default :data:`~repro.fleet.supervisor.FAIL_FAST`
+config a failed shard stops the run — every worker and pipe reaped
+first — with a :class:`RuntimeError` naming the shard and carrying its
+traceback.  With a restart budget dead shards respawn and replay
+deterministically (verified checkpoint-by-checkpoint), and shards that
+exhaust it escalate — their lanes re-run in the coordinator, exactly
+(``"rescue"``) or through the relay-all tier (``"degrade"``) — so
+frames are never dropped and the merged ledger stays exactly-once.
 Process-level chaos to exercise all of it comes from a seeded
 :class:`~repro.fleet.shard_faults.ShardFaultPlan`.
 
@@ -90,7 +89,12 @@ from ..obs.flight import FLEET_LANE
 from .admission import AdmissionConfig, AdmissionController, AdmissionDriver, Transition
 from .marshaller import FleetLane, FleetMarshaller, FleetReport
 from .shard_faults import ShardFaultInjector, ShardFaultPlan
-from .supervisor import ShardCheckpoint, ShardSupervisor, SupervisorConfig
+from .supervisor import (
+    FAIL_FAST,
+    ShardCheckpoint,
+    ShardSupervisor,
+    SupervisorConfig,
+)
 from .service import FleetCIService
 
 __all__ = [
@@ -230,13 +234,13 @@ class ShardedFleetReport(FleetReport):
     per-shard :class:`~repro.cloud.service.UsageLedger` deltas.
 
     ``heartbeats`` counts only the heartbeats of worker attempts that
-    *completed* — a supervised run that restarted a shard replays the
-    dead attempt's ticks, and counting both would make an otherwise
+    *completed* — a run that restarted a shard replays the dead
+    attempt's ticks, and counting both would make an otherwise
     byte-identical recovery visibly different from the fault-free run.
     ``supervision`` (never serialized by :meth:`to_dict`, for the same
-    reason) carries the recovery history of a supervised run: final
-    liveness per shard, restart counts, checkpoint/divergence totals,
-    the supervisor event log, and any rescued/degraded lane names.
+    reason) carries the run's recovery history: final liveness per
+    shard, restart counts, checkpoint/divergence totals, the supervisor
+    event log, and any rescued/degraded lane names.
     """
 
     num_shards: int = 0
@@ -246,7 +250,7 @@ class ShardedFleetReport(FleetReport):
     heartbeats: int = 0
     ledger: UsageLedger = field(default_factory=UsageLedger)
     admission_events: List[Tuple[int, Transition]] = field(default_factory=list)
-    supervision: Optional[Dict] = None
+    supervision: Dict = field(default_factory=dict)
 
     @property
     def critical_path_seconds(self) -> float:
@@ -284,8 +288,8 @@ class _HeartbeatSender:
     When a :class:`~repro.fleet.shard_faults.ShardFaultInjector` is
     armed, the injector's tick hook runs *before* the heartbeat send —
     a worker scheduled to die at tick T never reports tick T alive —
-    and the ``slow`` fault suppresses sends.  With no injector the
-    behavior is byte-identical to the unsupervised PR 9 sender.
+    and the ``slow`` fault suppresses sends.  With no injector every
+    ``every``-th tick is sent, nothing else.
     """
 
     def __init__(self, conn, shard_index: int, every: int, injector=None):
@@ -443,6 +447,26 @@ def _run_shard(conn, shard_index: int, payload: Dict,
         )
     return _execute_shard(shard_index, payload, on_tick=heartbeat, probe=probe)
 
+def _failure_error(supervisor: ShardSupervisor) -> RuntimeError:
+    """The ``"raise"`` escalation's error, naming every failed shard."""
+    reasons = {
+        index: supervisor.slots[index].reason
+        for index in supervisor.failed_shards
+    }
+    stuck = [i for i, reason in reasons.items() if reason == "startup timeout"]
+    if stuck:
+        return RuntimeError(
+            f"shard(s) {', '.join(map(str, stuck))} failed to start within "
+            f"{supervisor.config.startup_deadline:.1f}s (worker hung during "
+            f"spawn/import); raise SupervisorConfig.startup_deadline "
+            f"(--startup-timeout) or give the shards a restart budget"
+        )
+    detail = "\n\n".join(
+        f"--- shard {index} ---\n{reason}"
+        for index, reason in reasons.items()
+    )
+    return RuntimeError(f"{len(reasons)} shard(s) failed:\n{detail}")
+
 def _shard_worker(conn, shard_index: int, payload: Dict) -> None:
     """Process entry point (module-level, so ``spawn`` can pickle it).
 
@@ -510,22 +534,19 @@ class ShardedFleetMarshaller:
     heartbeat_every:
         Stream a liveness heartbeat every N worker ticks.
     supervisor:
-        Optional :class:`~repro.fleet.supervisor.SupervisorConfig`.
-        When given the run self-heals: bounded waits, the liveness FSM,
-        checkpointed deterministic restarts under a budget, and
-        rescue/degrade escalation when the budget runs out.  Without it
-        any shard failure is fatal (but cleanly so — every worker is
-        reaped and every pipe closed on the way out).
+        The :class:`~repro.fleet.supervisor.SupervisorConfig` every run
+        is driven under: bounded waits, the liveness FSM, and its
+        startup/heartbeat deadlines always apply.  The default
+        :data:`~repro.fleet.supervisor.FAIL_FAST` makes any shard
+        failure fatal (cleanly so — every worker is reaped and every
+        pipe closed before the :class:`RuntimeError`); a restart budget
+        adds checkpointed deterministic restarts and rescue/degrade
+        escalation when the budget runs out.
     fault_plan:
         Optional seeded
         :class:`~repro.fleet.shard_faults.ShardFaultPlan` shipped to
         every worker — process-level chaos (crash / SIGKILL / stall /
         slow / startup hang) keyed on ``(shard, attempt)``.
-    startup_timeout:
-        Unsupervised runs only: seconds a spawned worker may take to
-        send its hello before the run fails fast naming the shard
-        (``None`` waits forever; supervised runs use the config's
-        ``startup_deadline`` instead).
     """
 
     def __init__(
@@ -538,16 +559,13 @@ class ShardedFleetMarshaller:
         admission_signals=None,
         start_method: Optional[str] = None,
         heartbeat_every: int = 1,
-        supervisor: Optional[SupervisorConfig] = None,
+        supervisor: SupervisorConfig = FAIL_FAST,
         fault_plan: Optional[ShardFaultPlan] = None,
-        startup_timeout: Optional[float] = 120.0,
     ):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         if heartbeat_every < 1:
             raise ValueError("heartbeat_every must be >= 1")
-        if startup_timeout is not None and startup_timeout <= 0:
-            raise ValueError("startup_timeout must be positive or None")
         self.fleet = fleet
         self.num_shards = int(num_shards)
         self.partition = make_partition(partition)
@@ -558,7 +576,6 @@ class ShardedFleetMarshaller:
         self.heartbeat_every = int(heartbeat_every)
         self.supervisor = supervisor
         self.fault_plan = fault_plan
-        self.startup_timeout = startup_timeout
 
     # ------------------------------------------------------------------
     def run(
@@ -581,9 +598,9 @@ class ShardedFleetMarshaller:
         heartbeat message a worker streams back — the live-progress hook
         the ``watch --shards`` dashboard draws from.  ``on_liveness``,
         when given, is called as ``on_liveness(shard_index, state,
-        detail)`` on every supervised liveness transition (spawn, hello,
-        suspect, recovery, death, restart, failover) — the dashboard's
-        liveness column.
+        detail)`` on every liveness transition (spawn, hello, suspect,
+        recovery, death, restart, failover) — the dashboard's liveness
+        column.
 
         Returns a :class:`ShardedFleetReport` whose ``per_stream``
         mapping follows the *original* lane order regardless of the
@@ -611,16 +628,9 @@ class ShardedFleetMarshaller:
         coordinator_seconds = time.perf_counter() - coord_start
 
         context = mp.get_context(self.start_method)
-        if self.supervisor is not None:
-            results, heartbeats, supervision = self._run_supervised(
-                context, shards, run_kwargs, telemetry,
-                on_heartbeat, on_liveness,
-            )
-        else:
-            results, heartbeats = self._run_unsupervised(
-                context, shards, run_kwargs, telemetry, on_heartbeat
-            )
-            supervision = None
+        results, heartbeats, supervision = self._run_supervised(
+            context, shards, run_kwargs, telemetry, on_heartbeat, on_liveness
+        )
 
         merge_start = time.perf_counter()
         report = self._merge(lanes, shards, results, telemetry)
@@ -655,9 +665,11 @@ class ShardedFleetMarshaller:
             "heartbeat_every": self.heartbeat_every,
             "attempt": attempt,
             "fault_plan": self.fault_plan,
+            # Digests are only compared against a replay's: no budget,
+            # no checkpoints.
             "checkpoint_every": (
                 self.supervisor.checkpoint_every
-                if self.supervisor is not None else None
+                if self.supervisor.max_restarts > 0 else None
             ),
             "lane_modes": lane_modes,
         }
@@ -693,88 +705,7 @@ class ShardedFleetMarshaller:
                 pass
 
     # ------------------------------------------------------------------
-    # Unsupervised coordinator loop (fail-fast, leak-free)
-    # ------------------------------------------------------------------
-    def _run_unsupervised(
-        self, context, shards, run_kwargs, telemetry: bool, on_heartbeat
-    ) -> Tuple[Dict[int, ShardResult], int]:
-        processes: List = []
-        pending: Dict[object, int] = {}
-        results: Dict[int, ShardResult] = {}
-        errors: Dict[int, str] = {}
-        heartbeats = 0
-        hello_pending = set(range(len(shards)))
-        try:
-            for index, shard in enumerate(shards):
-                payload = self._payload(shard, run_kwargs, telemetry, 0)
-                process, conn = self._spawn(context, index, payload)
-                processes.append(process)
-                pending[conn] = index
-            deadline = (
-                time.monotonic() + self.startup_timeout
-                if self.startup_timeout is not None else None
-            )
-            while pending and not errors:
-                timeout = None
-                if hello_pending and deadline is not None:
-                    timeout = max(0.0, deadline - time.monotonic())
-                ready = mp_connection.wait(list(pending), timeout=timeout)
-                if (
-                    hello_pending
-                    and deadline is not None
-                    and not ready
-                    and time.monotonic() >= deadline
-                ):
-                    stuck = ", ".join(str(i) for i in sorted(hello_pending))
-                    raise RuntimeError(
-                        f"shard(s) {stuck} failed to start within "
-                        f"{self.startup_timeout:.1f}s (worker hung during "
-                        f"spawn/import); raise startup_timeout, pass "
-                        f"startup_timeout=None to wait forever, or run "
-                        f"supervised with a SupervisorConfig"
-                    )
-                for conn in ready:
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        index = pending.pop(conn)
-                        conn.close()
-                        hello_pending.discard(index)
-                        if index not in results and index not in errors:
-                            errors[index] = (
-                                "shard worker exited without a result"
-                            )
-                        continue
-                    kind = message[0]
-                    if kind == "hello":
-                        hello_pending.discard(message[1])
-                    elif kind == "tick":
-                        _, index, tick = message
-                        heartbeats += 1
-                        if on_heartbeat is not None:
-                            on_heartbeat(index, tick)
-                    elif kind == "ckpt":
-                        pass  # checkpoints are a supervised-run concern
-                    elif kind == "done":
-                        results[message[1]] = message[2]
-                    elif kind == "error":
-                        errors[message[1]] = message[2]
-            if errors:
-                detail = "\n\n".join(
-                    f"--- shard {index} ---\n{tb}"
-                    for index, tb in sorted(errors.items())
-                )
-                raise RuntimeError(
-                    f"{len(errors)} shard(s) failed:\n{detail}"
-                )
-            for process in processes:
-                process.join()
-        finally:
-            self._reap(processes, list(pending))
-        return results, heartbeats
-
-    # ------------------------------------------------------------------
-    # Supervised coordinator loop (self-healing)
+    # Coordinator loop (fail-fast by default, self-healing on a budget)
     # ------------------------------------------------------------------
     def _run_supervised(
         self, context, shards, run_kwargs, telemetry: bool,
@@ -845,13 +776,8 @@ class ShardedFleetMarshaller:
                     try:
                         message = conn.recv()
                     except (EOFError, OSError):
-                        del conns[conn]
-                        try:
-                            conn.close()
-                        except OSError:
-                            pass
+                        kill_worker(index)  # closes this pipe too
                         if index not in results:
-                            kill_worker(index)
                             handle_death(
                                 index, "pipe closed (worker died)"
                             )
@@ -898,6 +824,8 @@ class ShardedFleetMarshaller:
                     else:  # "dead" or "startup-timeout"
                         kill_worker(index)
                         handle_death(index, what.replace("-", " "))
+                if config.escalation == "raise" and supervisor.failed_shards:
+                    raise _failure_error(supervisor)
         finally:
             self._reap(list(processes.values()), list(conns))
 

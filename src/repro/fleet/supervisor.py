@@ -1,10 +1,12 @@
 """Shard supervision: liveness FSM, checkpoints, and restart budgets.
 
-PR 9's coordinator treats any worker death as fatal; this module gives
-the sharded fleet a self-healing control plane.  The pieces:
+Every sharded run is driven through this module's control plane; its
+default (:data:`FAIL_FAST`) only reaps and reports, while a restart
+budget makes the fleet self-healing.  The pieces:
 
-* :class:`SupervisorConfig` — deadlines and budgets (all wall-clock
-  figures are *coordinator-side*; workers stay timer-free).
+* :class:`SupervisorConfig` — deadlines, budgets, and the escalation
+  mode (all wall-clock figures are *coordinator-side*; workers stay
+  timer-free).
 * :class:`ShardCheckpoint` — a self-checksummed, JSON-round-trippable
   snapshot of one shard's lane-state (per-lane cursor + report
   progress + shadow-ledger cost) and service ledger at a tick.
@@ -53,6 +55,7 @@ from ..obs.flight import FLEET_LANE
 
 __all__ = [
     "CheckpointCorruption",
+    "FAIL_FAST",
     "LIVENESS_STATES",
     "ShardCheckpoint",
     "ShardSupervisor",
@@ -184,9 +187,12 @@ class SupervisorConfig:
     the orphaned lanes in the coordinator with the shard's own seeded
     factory (byte-identical output), ``"degrade"`` re-runs them in the
     relay-all tier through the existing lane-mode machinery (frames
-    never dropped, model never consulted).  ``checkpoint_every`` is in
-    worker ticks; ``poll_timeout`` bounds every coordinator wait so a
-    wedged pipe can never block the loop.
+    never dropped, model never consulted), and ``"raise"`` stops the
+    run, reaps every worker, and raises :class:`RuntimeError` naming the
+    failed shards.  ``checkpoint_every`` is in worker ticks (checkpoints
+    are only taken when ``max_restarts > 0``: a digest is only ever
+    compared against a replay's); ``poll_timeout`` bounds every
+    coordinator wait so a wedged pipe can never block the loop.
     """
 
     suspect_after: float = 5.0
@@ -206,15 +212,23 @@ class SupervisorConfig:
             raise ValueError("startup_deadline must be positive")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.escalation not in ("rescue", "degrade"):
+        if self.escalation not in ("rescue", "degrade", "raise"):
             raise ValueError(
-                f"escalation must be 'rescue' or 'degrade', "
+                f"escalation must be 'rescue', 'degrade' or 'raise', "
                 f"got {self.escalation!r}"
             )
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.poll_timeout <= 0:
             raise ValueError("poll_timeout must be positive")
+
+
+#: The sharded coordinator's default: no restarts, any failed shard
+#: fails the run (every worker reaped first), and a worker that never
+#: says hello within two minutes is reported by shard index.
+FAIL_FAST = SupervisorConfig(
+    max_restarts=0, escalation="raise", startup_deadline=120.0
+)
 
 
 # ----------------------------------------------------------------------

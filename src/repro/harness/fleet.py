@@ -21,6 +21,7 @@ from ..cloud import CloudInferenceService, StreamMarshaller
 from ..core import BatchedInference, make_engine
 from ..features import CovariatePipeline, FeatureExtractor
 from ..fleet import (
+    FAIL_FAST,
     AdmissionConfig,
     ChaosServiceFactory,
     FleetCIService,
@@ -250,9 +251,8 @@ def sharded_fleet_marshaller(
     admission: Optional[AdmissionConfig] = None,
     start_method: Optional[str] = None,
     heartbeat_every: int = 1,
-    supervisor: Optional[SupervisorConfig] = None,
+    supervisor: SupervisorConfig = FAIL_FAST,
     shard_fault_plan: Optional[ShardFaultPlan] = None,
-    startup_timeout: Optional[float] = 120.0,
 ) -> ShardedFleetMarshaller:
     """The deployment-shaped multi-process fleet engine.
 
@@ -260,8 +260,8 @@ def sharded_fleet_marshaller(
     :class:`~repro.fleet.ShardedFleetMarshaller`; ``fault_rate > 0``
     swaps the per-shard service factory to a seeded
     :class:`~repro.fleet.ChaosServiceFactory` (resilient client over a
-    fault injector, shard-independent seeds).  ``supervisor`` turns the
-    coordinator into the self-healing control plane, and
+    fault injector, shard-independent seeds).  ``supervisor`` defaults
+    to fail-fast; a restart budget makes the coordinator self-healing, and
     ``shard_fault_plan`` injects seeded process-level chaos
     (:class:`~repro.fleet.ShardFaultPlan`) into the workers themselves.
     """
@@ -288,8 +288,15 @@ def sharded_fleet_marshaller(
         heartbeat_every=heartbeat_every,
         supervisor=supervisor,
         fault_plan=shard_fault_plan,
-        startup_timeout=startup_timeout,
     )
+
+
+#: Generous deadlines: a loaded box never reaps a slow-but-healthy worker;
+#: stalls are still caught (slowly), other faults kill the pipe outright.
+_SWEEP_SUPERVISOR = SupervisorConfig(
+    suspect_after=30.0, dead_after=60.0, checkpoint_every=4,
+    poll_timeout=0.05,
+)
 
 
 def shard_chaos_sweep(
@@ -300,29 +307,21 @@ def shard_chaos_sweep(
     max_horizons: Optional[int] = 2,
     seed: int = 0,
     kinds: Sequence[str] = ("crash", "sigkill", "stall"),
-    supervisor: Optional[SupervisorConfig] = None,
+    supervisor: SupervisorConfig = _SWEEP_SUPERVISOR,
 ) -> List[Dict[str, object]]:
     """Recovery metrics for a supervised fleet under seeded shard chaos.
 
     Draws a :meth:`~repro.fleet.ShardFaultPlan.seeded` fault plan, runs
-    the same lanes three times — fault-free single process (the
-    byte-identity reference), supervised fault-free, and supervised under
-    the plan — and reports one row per run with frames covered/lost,
-    ledger cost, restarts, escalations, and whether the merged chaos
-    report matched the fault-free reference byte-for-byte.  Every row
-    must show ``frames_lost == 0``; the chaos row shows
-    ``byte_identical`` whenever replay succeeded for every faulted
-    shard.  Backs the EXPERIMENTS.md recovery entry and the CI
-    shard-chaos cell.
+    the same lanes three times — fault-free under the default fail-fast
+    config (the byte-identity reference), fault-free under
+    ``supervisor``, and under ``supervisor`` with the plan — and reports
+    one row per run with frames covered/lost, ledger cost, restarts,
+    escalations, and whether the merged chaos report matched the
+    fault-free reference byte-for-byte.  Every row must show
+    ``frames_lost == 0``; the chaos row shows ``byte_identical``
+    whenever replay succeeded for every faulted shard.  Backs the
+    EXPERIMENTS.md recovery entry and the CI shard-chaos cell.
     """
-    if supervisor is None:
-        # Generous liveness deadlines so loaded CI boxes never mistake a
-        # slow-but-healthy worker for a hung one; stalls are still caught
-        # (just slowly) and every other fault kind kills the pipe outright.
-        supervisor = SupervisorConfig(
-            suspect_after=30.0, dead_after=60.0, checkpoint_every=4,
-            poll_timeout=0.05,
-        )
     plan = ShardFaultPlan.seeded(
         num_shards, rate=fault_rate, seed=seed, kinds=tuple(kinds)
     )
@@ -342,12 +341,11 @@ def shard_chaos_sweep(
         rows: List[Dict[str, object]] = []
         reference: Optional[str] = None
         cells = (
-            ("fault-free", None),
-            ("supervised", None),
-            ("shard-chaos", plan),
+            ("fault-free", FAIL_FAST, None),
+            ("supervised", supervisor, None),
+            ("shard-chaos", supervisor, plan),
         )
-        for label, cell_plan in cells:
-            cfg = None if label == "fault-free" else supervisor
+        for label, cfg, cell_plan in cells:
             sharded = ShardedFleetMarshaller(
                 fleet, num_shards, supervisor=cfg, fault_plan=cell_plan
             )
@@ -357,7 +355,7 @@ def shard_chaos_sweep(
             canon = _canonical(report)
             if reference is None:
                 reference = canon
-            supervision = report.supervision or {}
+            supervision = report.supervision
             row = {
                 "cell": label,
                 "streams": num_streams,

@@ -233,6 +233,15 @@ class TestFleetCommand:
         assert "fleet_fps" in text and "seq_fps" in text
         assert "speedup" in text
 
+    def test_sharded_run_reports_shards(self):
+        code, text = run_cli(
+            ["fleet", "--task", "TA10", "--shards", "2", "--streams", "2",
+             "--max-horizons", "2"] + FAST
+        )
+        assert code == 0
+        assert "num_shards: 2" in text
+        assert "== supervision ==" not in text  # fail-fast default
+
 
 class TestObservabilityFlags:
     @pytest.fixture(autouse=True)
@@ -393,6 +402,25 @@ class TestWatchCommand:
         assert code == 0
         assert "cost-tight" in text
         assert "recall-floor" not in text  # defaults replaced
+
+    def test_sharded_plain_run_reports_shards(self):
+        code, text = run_cli(
+            ["watch", "--task", "TA10", "--shards", "2", "--plain",
+             "--streams", "2", "--max-horizons", "2"] + FAST
+        )
+        assert code == 0
+        assert "num_shards: 2" in text
+        assert "| supervised" not in text
+        assert "[shard 1] liveness DONE" in text
+
+    def test_sharded_supervised_run_prints_supervision(self):
+        code, text = run_cli(
+            ["watch", "--task", "TA10", "--shards", "2", "--supervise",
+             "--plain", "--streams", "2", "--max-horizons", "2"] + FAST
+        )
+        assert code == 0
+        assert "| supervised" in text
+        assert "== supervision ==" in text
 
 
 class TestSloCommand:
