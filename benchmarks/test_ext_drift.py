@@ -5,17 +5,23 @@ bench quantifies the implementation: deploying a model trained on one
 world onto a drifted world, the frozen pipeline loses recall silently
 while the adaptive pipeline (audit sampling + CUSUM + online conformal
 recalibration) detects the break and recovers a large share of it.
+
+Both deployments serve through ``StreamMarshaller.run(lifecycle=...)``
+with a registry-less :class:`~repro.lifecycle.LifecycleController` (its
+recalibrate-only response); the adaptive one's audits are billed and
+their ground truth credited by :func:`~repro.lifecycle.audited_outcome`.
 """
 
 import numpy as np
 import pytest
 
-from repro.cloud import CloudInferenceService
+from repro.cloud import CloudInferenceService, StreamMarshaller
 from repro.conformal import ConformalClassifier, ConformalRegressor
 from repro.core import EventHitConfig, train_eventhit
 from repro.data import build_experiment_data
-from repro.drift import AdaptiveMarshaller, MissRateCusum
+from repro.drift import MissRateCusum
 from repro.features import CovariatePipeline, FeatureExtractor
+from repro.lifecycle import LifecycleController, audited_outcome
 from repro.video import make_thumos
 from repro.video.arrivals import FixedCountArrivals
 from repro.video.datasets import EVENT_TYPES
@@ -67,36 +73,50 @@ def test_drift_adaptation(benchmark, save_result):
         def deploy(audit_rate):
             classifier = ConformalClassifier(model).calibrate(data.calibration)
             regressor = ConformalRegressor(model).calibrate(data.calibration)
-            service = CloudInferenceService(stream)
-            marshaller = AdaptiveMarshaller(
-                model, data.event_types, pipeline, classifier, regressor,
-                confidence=0.95, alpha=0.9, audit_rate=audit_rate,
+            marshaller = StreamMarshaller(
+                model, data.event_types, pipeline,
+                classifier=classifier, regressor=regressor,
+                confidence=0.95, alpha=0.9,
+            )
+            controller = LifecycleController(
+                marshaller, None, audit_rate=audit_rate,
                 min_positives=3, seed=3,
                 cusum=MissRateCusum(budget=0.05, slack=0.05, threshold=2.0),
             )
-            return marshaller.run(stream, features, service)
+            service = CloudInferenceService(stream)
+            report = marshaller.run(
+                stream, features, service, lifecycle=controller
+            )
+            return report, controller, audited_outcome(
+                report, stream, controller
+            )
 
         return deploy(0.0), deploy(0.25)
 
-    frozen, adaptive = benchmark.pedantic(run, rounds=1, iterations=1)
+    (frozen_report, _, frozen), (adaptive_report, controller, adaptive) = (
+        benchmark.pedantic(run, rounds=1, iterations=1)
+    )
     save_result(
         "ext_drift",
         "\n".join(
             [
-                f"frozen recall={frozen.frame_recall:.3f} "
-                f"relayed={frozen.frames_relayed}",
-                f"adaptive recall={adaptive.frame_recall:.3f} "
-                f"relayed={adaptive.frames_relayed} "
-                f"audited={adaptive.horizons_audited} "
-                f"misses={adaptive.audited_misses} "
-                f"recalibrations={adaptive.recalibrations}",
+                f"frozen recall={frozen.recall:.3f} "
+                f"relayed={frozen_report.frames_relayed} "
+                f"cost={frozen.cost:.3f}",
+                f"adaptive recall={adaptive.recall:.3f} "
+                f"relayed={adaptive_report.frames_relayed} "
+                f"audit_frames={controller.audit_frames} "
+                f"cost={adaptive.cost:.3f} "
+                f"audited={controller.audits} "
+                f"misses={controller.audit_misses} "
+                f"recalibrations={controller.recalibrations}",
             ]
         ),
     )
 
     # Drift breaks the frozen pipeline...
-    assert frozen.frame_recall < 0.6
+    assert frozen.recall < 0.6
     # ...the adaptive one audits, signals, and recovers.
-    assert adaptive.horizons_audited > 0
-    assert adaptive.audited_misses > 0 or adaptive.recalibrations > 0
-    assert adaptive.frame_recall > frozen.frame_recall + 0.15
+    assert controller.audits > 0
+    assert controller.audit_misses > 0 or controller.recalibrations > 0
+    assert adaptive.recall > frozen.recall + 0.15

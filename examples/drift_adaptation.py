@@ -7,6 +7,12 @@ loses recall; the adaptive deployment audits a fraction of horizons, its
 CUSUM chart notices the misses exceeding the conformal budget, and it
 recalibrates the conformal layers online from the audited ground truth.
 
+Both deployments run through the one serving loop
+(``StreamMarshaller.run(lifecycle=...)``) with a registry-less
+``LifecycleController``; audits are full-horizon relays, so
+``audited_outcome`` bills them on top of the run's cost and credits the
+event frames they covered.
+
 Usage::
 
     python examples/drift_adaptation.py
@@ -14,12 +20,13 @@ Usage::
 
 import numpy as np
 
-from repro.cloud import CloudInferenceService
+from repro.cloud import CloudInferenceService, StreamMarshaller
 from repro.conformal import ConformalClassifier, ConformalRegressor
 from repro.core import EventHitConfig, train_eventhit
 from repro.data import build_experiment_data
-from repro.drift import AdaptiveMarshaller, MissRateCusum
+from repro.drift import MissRateCusum
 from repro.features import CovariatePipeline, FeatureExtractor
+from repro.lifecycle import LifecycleController, audited_outcome
 from repro.video import make_thumos
 from repro.video.arrivals import FixedCountArrivals
 from repro.video.datasets import EVENT_TYPES
@@ -75,34 +82,40 @@ def main() -> None:
     def deploy(audit_rate):
         classifier = ConformalClassifier(model).calibrate(data.calibration)
         regressor = ConformalRegressor(model).calibrate(data.calibration)
-        service = CloudInferenceService(stream)
-        marshaller = AdaptiveMarshaller(
-            model, data.event_types, pipeline, classifier, regressor,
-            confidence=0.95, alpha=0.9, audit_rate=audit_rate,
-            min_positives=3, seed=3,
+        marshaller = StreamMarshaller(
+            model, data.event_types, pipeline,
+            classifier=classifier, regressor=regressor,
+            confidence=0.95, alpha=0.9,
+        )
+        controller = LifecycleController(
+            marshaller, None, audit_rate=audit_rate, min_positives=3, seed=3,
             cusum=MissRateCusum(budget=0.05, slack=0.05, threshold=2.0),
         )
-        return marshaller.run(stream, features, service)
+        service = CloudInferenceService(stream)
+        report = marshaller.run(stream, features, service, lifecycle=controller)
+        return report, controller, audited_outcome(report, stream, controller)
 
-    frozen = deploy(audit_rate=0.0)
-    adaptive = deploy(audit_rate=0.25)
+    frozen, frozen_lc, frozen_out = deploy(audit_rate=0.0)
+    adaptive, adaptive_lc, adaptive_out = deploy(audit_rate=0.25)
 
     print()
     print(f"{'':24}{'frozen':>10}{'adaptive':>10}")
     print(f"{'horizons evaluated':24}{frozen.horizons_evaluated:>10}"
           f"{adaptive.horizons_evaluated:>10}")
-    print(f"{'horizons audited':24}{frozen.horizons_audited:>10}"
-          f"{adaptive.horizons_audited:>10}")
-    print(f"{'audited misses':24}{frozen.audited_misses:>10}"
-          f"{adaptive.audited_misses:>10}")
-    print(f"{'drift recalibrations':24}{frozen.recalibrations:>10}"
-          f"{adaptive.recalibrations:>10}")
-    print(f"{'frame recall':24}{frozen.frame_recall:>10.3f}"
-          f"{adaptive.frame_recall:>10.3f}")
+    print(f"{'horizons audited':24}{frozen_lc.audits:>10}"
+          f"{adaptive_lc.audits:>10}")
+    print(f"{'audited misses':24}{frozen_lc.audit_misses:>10}"
+          f"{adaptive_lc.audit_misses:>10}")
+    print(f"{'drift recalibrations':24}{frozen_lc.recalibrations:>10}"
+          f"{adaptive_lc.recalibrations:>10}")
+    print(f"{'frame recall':24}{frozen_out.recall:>10.3f}"
+          f"{adaptive_out.recall:>10.3f}")
     print(f"{'frames relayed':24}{frozen.frames_relayed:>10}"
           f"{adaptive.frames_relayed:>10}")
-    print(f"{'cost ($)':24}{frozen.total_cost:>10.2f}"
-          f"{adaptive.total_cost:>10.2f}")
+    print(f"{'audit frames':24}{frozen_lc.audit_frames:>10}"
+          f"{adaptive_lc.audit_frames:>10}")
+    print(f"{'cost incl. audits ($)':24}{frozen_out.cost:>10.2f}"
+          f"{adaptive_out.cost:>10.2f}")
     print()
     print(
         "The frozen deployment keeps the pre-drift calibration and misses "

@@ -14,11 +14,6 @@ from .base import (
 )
 from .classify import ConformalClassifier
 from .regress import ConformalRegressor
-from .online import (
-    OnlineConformalClassifier,
-    OnlineConformalRegressor,
-    SlidingScoreWindow,
-)
 
 __all__ = [
     "conformal_p_values",
@@ -27,7 +22,4 @@ __all__ = [
     "residual_quantile",
     "ConformalClassifier",
     "ConformalRegressor",
-    "OnlineConformalClassifier",
-    "OnlineConformalRegressor",
-    "SlidingScoreWindow",
 ]

@@ -22,11 +22,51 @@ import numpy as np
 from ..features.extractors import FeatureExtractor, FeatureMatrix
 from ..features.pipeline import CovariatePipeline, Standardizer
 from ..video.datasets import DatasetSpec, EVENT_TYPES, make_stream
-from ..video.events import EventType
+from ..video.events import EventSchedule, EventType
 from ..video.stream import VideoStream
 from .records import RecordSet
 
-__all__ = ["DatasetBuilder", "ExperimentData", "build_experiment_data"]
+__all__ = [
+    "DatasetBuilder",
+    "ExperimentData",
+    "build_experiment_data",
+    "horizon_targets",
+]
+
+
+def horizon_targets(
+    schedule: EventSchedule,
+    event_types: Sequence[EventType],
+    frame: int,
+    horizon: int,
+    occupancy: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-event ``(labels, starts, ends, censored)`` targets of the
+    horizon after ``frame``.
+
+    Each event's target is its first instance in the horizon (the §II
+    one-occurrence simplification); absent events keep zeros.  When a
+    ``(K, H)`` ``occupancy`` grid is given, every instance in the horizon
+    is marked in it (the footnote-1 multi-instance target).
+    """
+    k = len(event_types)
+    labels = np.zeros(k)
+    starts = np.zeros(k, dtype=int)
+    ends = np.zeros(k, dtype=int)
+    censored = np.zeros(k)
+    for col, event_type in enumerate(event_types):
+        horizon_events = schedule.events_in_horizon(event_type, frame, horizon)
+        if not horizon_events:
+            continue
+        first = min(horizon_events, key=lambda e: e.start_offset)
+        labels[col] = 1.0
+        starts[col] = first.start_offset
+        ends[col] = first.end_offset
+        censored[col] = float(first.censored)
+        if occupancy is not None:
+            for event in horizon_events:
+                occupancy[col, event.start_offset - 1 : event.end_offset] = 1.0
+    return labels, starts, ends, censored
 
 
 class DatasetBuilder:
@@ -107,22 +147,13 @@ class DatasetBuilder:
         censored = np.zeros((b, k))
         occupancy = np.zeros((b, k, self.horizon)) if multi_instance else None
         for row, frame in enumerate(frames):
-            for col, event_type in enumerate(event_types):
-                horizon_events = stream.schedule.events_in_horizon(
-                    event_type, int(frame), self.horizon
-                )
-                if not horizon_events:
-                    continue
-                first = min(horizon_events, key=lambda e: e.start_offset)
-                labels[row, col] = 1.0
-                starts[row, col] = first.start_offset
-                ends[row, col] = first.end_offset
-                censored[row, col] = float(first.censored)
-                if multi_instance:
-                    for event in horizon_events:
-                        occupancy[
-                            row, col, event.start_offset - 1 : event.end_offset
-                        ] = 1.0
+            labels[row], starts[row], ends[row], censored[row] = horizon_targets(
+                stream.schedule,
+                event_types,
+                int(frame),
+                self.horizon,
+                occupancy=occupancy[row] if multi_instance else None,
+            )
 
         covariates = self.pipeline.covariate_batch(features, frames)
         return RecordSet(

@@ -1,20 +1,19 @@
-"""Drift detection and online adaptation — the paper's §VIII future work.
+"""Drift detection — the paper's §VIII future work.
 
 * :class:`PValueDriftDetector` — KS test on positives' conformal p-values.
 * :class:`MissRateCusum` — CUSUM chart on audited miss indicators against
   the 1 − c guarantee budget.
-* :class:`AdaptiveMarshaller` — the Fig. 1 loop with audit sampling,
-  drift signals, and online recalibration of the conformal layers.
+
+The response to a drift signal lives in
+:class:`~repro.lifecycle.LifecycleController`, inside the serving loop:
+recalibrate the conformal layers on audited horizons (no registry) or
+retrain, canary-gate and hot-swap the model (with one).
 """
 
 from .detector import DriftVerdict, MissRateCusum, PValueDriftDetector
-from .adapter import AdaptiveMarshaller, AdaptiveReport, AuditBuffer
 
 __all__ = [
     "DriftVerdict",
     "PValueDriftDetector",
     "MissRateCusum",
-    "AdaptiveMarshaller",
-    "AdaptiveReport",
-    "AuditBuffer",
 ]

@@ -18,7 +18,7 @@ Two complementary detectors:
 * :class:`MissRateCusum` — a CUSUM control chart on the audited miss
   indicator stream.  C-CLASSIFY guarantees a miss rate ≤ 1 − c under
   exchangeability; auditing (fully relaying a random fraction of horizons,
-  see :class:`~repro.drift.adapter.AdaptiveMarshaller`) yields unbiased
+  see :class:`~repro.lifecycle.LifecycleController`) yields unbiased
   miss observations, and the CUSUM accumulates evidence that the true miss
   rate exceeds the budget.
 """

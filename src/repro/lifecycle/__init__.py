@@ -1,5 +1,6 @@
-"""Live model lifecycle: versioned registry, drift-triggered retraining,
-canary gating, and crash-safe atomic hot-swap.
+"""Live model lifecycle: versioned registry, drift-triggered retraining
+(or, without a registry, recalibration), canary gating, and crash-safe
+atomic hot-swap.
 
 The layer sits beside the serving path, never in it: observation hooks
 are free (a run that never swaps is byte-identical to one without the
@@ -9,7 +10,13 @@ checkpoint write, corrupt manifest, retrain blow-up, flaky canary —
 falls back to the last good version with a flight-recorder postmortem.
 """
 
-from .controller import CanaryVerdict, LifecycleController
+from .controller import (
+    AuditBuffer,
+    AuditedOutcome,
+    CanaryVerdict,
+    LifecycleController,
+    audited_outcome,
+)
 from .faults import (
     LIFECYCLE_FAULT_KINDS,
     LifecycleError,
@@ -21,8 +28,11 @@ from .faults import (
 from .registry import ModelRegistry, ModelVersion, RegistryError, VERSION_STATUSES
 
 __all__ = [
+    "AuditBuffer",
+    "AuditedOutcome",
     "CanaryVerdict",
     "LifecycleController",
+    "audited_outcome",
     "LIFECYCLE_FAULT_KINDS",
     "LifecycleError",
     "LifecycleFaultInjector",

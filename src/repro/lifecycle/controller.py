@@ -1,12 +1,18 @@
-"""Drift-triggered retraining, canary gating, and crash-safe hot-swap.
+"""Drift-triggered recalibration or retraining, canary gating, and
+crash-safe hot-swap.
 
 :class:`LifecycleController` closes the loop the paper leaves open in its
 conclusions ("detect and adapt to changes in the occurrence distribution
 over time"): it watches a live marshalling run through the
-:mod:`repro.drift` detectors, retrains EventHit in the background when
-the world shifts, gates every candidate behind a canary evaluation on
+:mod:`repro.drift` detectors and responds when the world shifts.  With a
+:class:`~repro.lifecycle.ModelRegistry` it retrains EventHit in the
+background, gates every candidate behind a canary evaluation on
 held-back recent audits, and — only if the candidate clears the gate —
-hot-swaps it into the serving marshaller at a horizon boundary.
+hot-swaps it into the serving marshaller at a horizon boundary.  Without
+one (``registry=None``) the network is kept and the response is to
+recalibrate the conformal layers on the audit buffer (§VIII drift
+adaptation); :func:`audited_outcome` then bills the audits and credits
+their ground truth in the run's cost and recall.
 
 Contracts the tests pin:
 
@@ -15,7 +21,9 @@ Contracts the tests pin:
   ground truth is read from the stream's schedule (the simulator stand-in
   for a full-relay audit) and the audit coin-flips come from a
   controller-private RNG, so a run that never swaps is **byte-identical**
-  to a run without the lifecycle layer.
+  to a run without the lifecycle layer.  The one exception is the
+  registry-less response, whose whole point is to recalibrate the
+  serving conformal layers from inside this hook.
 * **swaps are atomic and honest** — :meth:`~LifecycleController.maybe_swap`
   applies a staged candidate between horizons: model, batched-inference
   engine, and both conformal components are rebound and recalibrated on
@@ -32,22 +40,86 @@ Contracts the tests pin:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cloud.pricing import REKOGNITION
 from ..core.model import EventHit
 from ..core.trainer import train_eventhit
+from ..data.builder import horizon_targets
 from ..data.records import RecordSet
-from ..drift.adapter import AuditBuffer
 from ..drift.detector import MissRateCusum, PValueDriftDetector
 from ..obs import inc, log_info, log_warning, set_gauge, span
 from ..obs.flight import get_flight_recorder
+from ..video.events import EventType
+from ..video.stream import StreamSegment, VideoStream
 from .faults import LifecycleFaultInjector, RetrainError
 from .registry import ModelRegistry, ModelVersion, RegistryError
 
-__all__ = ["CanaryVerdict", "LifecycleController"]
+__all__ = [
+    "AuditBuffer",
+    "AuditedOutcome",
+    "CanaryVerdict",
+    "LifecycleController",
+    "audited_outcome",
+]
+
+
+class AuditBuffer:
+    """Sliding buffer of audited horizons, convertible to a RecordSet."""
+
+    def __init__(self, event_types: Sequence[EventType], horizon: int, maxlen: int = 200):
+        if maxlen <= 0:
+            raise ValueError("maxlen must be positive")
+        self.event_types = list(event_types)
+        self.horizon = horizon
+        self._rows: Deque[Tuple] = deque(maxlen=maxlen)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(
+        self,
+        frame: int,
+        covariates: np.ndarray,
+        labels: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        censored: np.ndarray,
+    ) -> None:
+        self._rows.append(
+            (frame, covariates.copy(), labels.copy(), starts.copy(),
+             ends.copy(), censored.copy())
+        )
+
+    def positives_per_event(self) -> np.ndarray:
+        if not self._rows:
+            return np.zeros(len(self.event_types), dtype=int)
+        return np.sum([row[2] for row in self._rows], axis=0).astype(int)
+
+    def ready_for_calibration(self, min_positives: int = 3) -> bool:
+        """Every event has enough audited positives to recalibrate."""
+        if not self._rows:
+            return False
+        return bool((self.positives_per_event() >= min_positives).all())
+
+    def to_records(self) -> RecordSet:
+        if not self._rows:
+            raise ValueError("audit buffer is empty")
+        frames, covs, labels, starts, ends, censored = zip(*self._rows)
+        return RecordSet(
+            event_types=self.event_types,
+            horizon=self.horizon,
+            frames=np.asarray(frames),
+            covariates=np.stack(covs),
+            labels=np.stack(labels),
+            starts=np.stack(starts),
+            ends=np.stack(ends),
+            censored=np.stack(censored),
+        )
 
 
 @dataclass(frozen=True)
@@ -87,14 +159,16 @@ class LifecycleController:
         keeping their guarantees honest across model versions.
     registry:
         The :class:`~repro.lifecycle.ModelRegistry` versions are published
-        to and served from.
+        to and served from, or ``None`` for the recalibrate-only response:
+        a trigger then recalibrates both conformal layers of the serving
+        model on the audit buffer instead of retraining it.
     audit_rate:
         Probability each observed horizon is audited (ground-truthed and
         buffered).
     buffer_size / min_positives / min_records:
-        Audit-buffer capacity and the evidence floor before a retrain is
-        attempted (every event needs ``min_positives`` audited positives
-        and the buffer at least ``min_records`` rows).
+        Audit-buffer capacity and the evidence floor before a retrain or
+        recalibration is attempted (every event needs ``min_positives``
+        audited positives and the buffer at least ``min_records`` rows).
     canary_fraction:
         Fraction of the audit buffer (its *newest* rows) held back from
         retraining and used to score the candidate against the incumbent.
@@ -107,12 +181,14 @@ class LifecycleController:
     retrain_every_audits:
         Optional scheduled-retraining knob: attempt a retrain every N
         audits even without a drift signal (chaos runs and tests use this
-        for deterministic triggering).
+        for deterministic triggering; without a registry it schedules
+        recalibrations).
     seed:
         Seed of the controller-private audit RNG.
     cusum / pvalue_detector:
-        Optional pre-built drift detectors (defaults match
-        :class:`~repro.drift.AdaptiveMarshaller`).
+        Optional pre-built drift detectors (defaults: a
+        :class:`~repro.drift.MissRateCusum` against the 1 − c budget and a
+        :class:`~repro.drift.PValueDriftDetector`).
     injector:
         Optional :class:`~repro.lifecycle.LifecycleFaultInjector` for the
         retrain/canary hazard hooks (the registry holds its own handle
@@ -122,7 +198,7 @@ class LifecycleController:
     def __init__(
         self,
         marshaller,
-        registry: ModelRegistry,
+        registry: Optional[ModelRegistry],
         audit_rate: float = 0.25,
         buffer_size: int = 200,
         min_positives: int = 3,
@@ -174,9 +250,15 @@ class LifecycleController:
         self._pending: Optional[Tuple[ModelVersion, EventHit]] = None
         self._audits_since_retrain = 0
         self._last_swap_tick = 0
-        # Books the chaos harness reports on.
+        # Per stream, the audited horizons as inclusive frame spans (each
+        # stands for one full relay per watched event type).
+        self.audited_spans: Dict[VideoStream, List[StreamSegment]] = {}
+        # Books the chaos harness and the drift experiment report on.
         self.audits = 0
+        self.audit_frames = 0
+        self.audit_misses = 0
         self.drift_signals = 0
+        self.recalibrations = 0
         self.retrains = 0
         self.retrain_failures = 0
         self.publish_failures = 0
@@ -195,7 +277,10 @@ class LifecycleController:
     def stats(self) -> Dict[str, object]:
         return {
             "audits": self.audits,
+            "audit_frames": self.audit_frames,
+            "audit_misses": self.audit_misses,
             "drift_signals": self.drift_signals,
+            "recalibrations": self.recalibrations,
             "retrains": self.retrains,
             "retrain_failures": self.retrain_failures,
             "publish_failures": self.publish_failures,
@@ -215,6 +300,8 @@ class LifecycleController:
         The chaos hooks are suspended for this one publish — the seed
         model predates the chaos window by construction.
         """
+        if self.registry is None:
+            raise ValueError("register_incumbent needs a model registry")
         saved = self.registry.injector
         self.registry.injector = None
         try:
@@ -240,25 +327,36 @@ class LifecycleController:
         ``rows`` is ``[(stream, frame), ...]`` in lane order, ``windows``
         the stacked ``(B, W, F)`` covariates, ``output`` / ``exists`` the
         batch the marshaller decided from.  One audit coin-flip per row,
-        in lane order, from the controller-private RNG.
+        in lane order, from the controller-private RNG.  An audit reads
+        the horizon's ground truth from the schedule and books the
+        full-horizon relay it stands for (``audit_frames`` and the
+        per-stream ``audited_spans``) without billing the service.
         """
         set_gauge(
             "lifecycle.model_staleness", float(max(0, tick - self._last_swap_tick))
         )
         exists = np.asarray(exists, dtype=bool)
+        m = self.marshaller
         p_values = None
         for i, (stream, frame) in enumerate(rows):
             if not bool(self._rng.random() < self.audit_rate):
                 continue
             self.audits += 1
             inc("lifecycle.audits")
-            labels, starts, ends, censored = self._ground_truth(stream, frame)
+            self.audit_frames += m.horizon * len(m.event_types)
+            self.audited_spans.setdefault(stream, []).append(
+                StreamSegment(frame + 1, frame + m.horizon)
+            )
+            labels, starts, ends, censored = horizon_targets(
+                stream.schedule, m.event_types, frame, m.horizon
+            )
             self.buffer.add(frame, windows[i], labels, starts, ends, censored)
             missed = bool(np.any((labels > 0) & ~exists[i]))
+            self.audit_misses += int(missed)
             cusum_verdict = self.cusum.observe(missed)
             if p_values is None:
-                p_values = self.marshaller.classifier.p_values(output)
-            for j in range(len(self.marshaller.event_types)):
+                p_values = m.classifier.p_values(output)
+            for j in range(len(m.event_types)):
                 if labels[j] > 0:
                     self.pvalue_detector.observe(float(p_values[i, j]))
             ks_verdict = self.pvalue_detector.check()
@@ -271,33 +369,50 @@ class LifecycleController:
                 self.retrain_every_audits is not None
                 and self._audits_since_retrain >= self.retrain_every_audits
             )
-            if (drifted or scheduled) and self._ready_to_retrain():
-                self._retrain(tick, reason="drift" if drifted else "schedule")
-
-    def _ground_truth(self, stream, frame: int):
-        """Per-event (label, start, end, censored) in this horizon."""
-        k = len(self.marshaller.event_types)
-        horizon = self.marshaller.horizon
-        labels = np.zeros(k)
-        starts = np.zeros(k, dtype=int)
-        ends = np.zeros(k, dtype=int)
-        censored = np.zeros(k)
-        for j, event_type in enumerate(self.marshaller.event_types):
-            event = stream.schedule.first_event_in_horizon(
-                event_type, frame, horizon
-            )
-            if event is None:
+            if not ((drifted or scheduled) and self._ready_to_retrain()):
                 continue
-            labels[j] = 1.0
-            starts[j] = event.start_offset
-            ends[j] = event.end_offset
-            censored[j] = float(event.censored)
-        return labels, starts, ends, censored
+            reason = "drift" if drifted else "schedule"
+            if self.registry is None:
+                self._recalibrate_in_place(tick, reason)
+                # Later rows of this tick score against the fresh
+                # calibration the KS reference was just rebased on.
+                p_values = None
+            else:
+                self._retrain(tick, reason=reason)
 
     def _ready_to_retrain(self) -> bool:
         return len(self.buffer) >= self.min_records and (
             self.buffer.ready_for_calibration(self.min_positives)
         )
+
+    # ------------------------------------------------------------------
+    # Recalibration (shared by the registry-less response and the swap)
+    # ------------------------------------------------------------------
+    def _recalibrate(self, model: EventHit) -> None:
+        """Calibrate both conformal layers for ``model`` on the audit
+        buffer and hand the drift detectors to the new regime."""
+        m = self.marshaller
+        records = self.buffer.to_records()
+        m.classifier.model = model
+        m.classifier.calibrate(records)
+        m.regressor.model = model
+        m.regressor.calibrate(records)
+        self.cusum.reset()
+        # The KS reference holds p-values scored against the old
+        # calibration; rebase it on the buffered positives re-scored
+        # under the fresh one.
+        p_values = m.classifier.p_values(model.predict(records.covariates))
+        self.pvalue_detector.rebase(p_values[records.labels > 0])
+
+    def _recalibrate_in_place(self, tick: int, reason: str) -> None:
+        """Recalibrate-only response: keep the serving network, refresh
+        its conformal layers on the audited horizons."""
+        self._audits_since_retrain = 0
+        self.recalibrations += 1
+        inc("lifecycle.recalibrations")
+        with span("lifecycle.recalibrate", reason=reason, tick=tick):
+            self._recalibrate(self.marshaller.model)
+        log_info("lifecycle.recalibrated", reason=reason, tick=tick)
 
     # ------------------------------------------------------------------
     # Retrain → publish → canary
@@ -427,21 +542,12 @@ class LifecycleController:
         self._pending = None
         m = self.marshaller
         with span("lifecycle.swap", version=entry.version, tick=tick):
-            records = self.buffer.to_records()
             m.model = model
             # rebind preserves the engine kind and its config (windowed,
             # continual, gated); stateful engines drop all carried lane
             # state here — the post-swap warm-up is the state rebase.
             m.inference = m.inference.rebind(model)
-            m.classifier.model = model
-            m.classifier.calibrate(records)
-            m.regressor.model = model
-            m.regressor.calibrate(records)
-            # Hand the detectors to the new regime: p-values recomputed
-            # under the fresh calibration seed the KS reference window.
-            self.cusum.reset()
-            p_values = m.classifier.p_values(model.predict(records.covariates))
-            self.pvalue_detector.rebase(p_values[records.labels > 0])
+            self._recalibrate(model)
             for report in reports:
                 report.model_swaps += 1
                 report.swap_voided_frames += m.horizon
@@ -459,3 +565,40 @@ class LifecycleController:
             lanes=len(reports),
         )
         return True
+
+
+class AuditedOutcome(NamedTuple):
+    """A lane's cost and recall once its audits are accounted for."""
+
+    cost: float
+    recall: float
+
+
+def audited_outcome(
+    report, stream: VideoStream, controller: LifecycleController
+) -> AuditedOutcome:
+    """Bill ``stream``'s audits on top of ``report`` and credit their truth.
+
+    The controller reads audit ground truth for free (that keeps a
+    zero-swap run byte-identical to one without it), but a real audit is
+    a full-horizon relay per watched event type.  The cost bills those
+    frames on top of the run's ``total_cost`` at the paper's flat
+    per-frame price.  The recall is the share of true event frames
+    covered by the union of the report's detections and the audited
+    spans, so no frame counts twice.
+    """
+    spans = controller.audited_spans.get(stream, [])
+    m = controller.marshaller
+    audit_frames = sum(s.num_frames for s in spans) * len(m.event_types)
+    cost = report.total_cost + REKOGNITION.cost(audit_frames)
+    if report.true_event_frames == 0:
+        return AuditedOutcome(cost, float("nan"))
+    covered = 0
+    for event_type in m.event_types:
+        detections = [
+            d for d in report.detections if d.event_name == event_type.name
+        ]
+        covered += stream.schedule.covered_frames_in(
+            event_type, detections + spans, 0, stream.length - 1
+        )
+    return AuditedOutcome(cost, covered / report.true_event_frames)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.data import DatasetBuilder, build_experiment_data
+from repro.data import DatasetBuilder, build_experiment_data, horizon_targets
 from repro.features import CovariatePipeline, extract_features
 from repro.video import make_thumos, make_virat, make_stream
 from repro.video.datasets import EVENT_TYPES
@@ -16,6 +18,24 @@ ET = EventType("gate", duration_mean=40, duration_std=4, lead_time=80)
 def tiny_stream(seed=0):
     instances = [EventInstance(300, 339, ET), EventInstance(900, 939, ET)]
     return VideoStream(1500, EventSchedule(1500, instances), seed=seed)
+
+
+@pytest.fixture(scope="module")
+def two_event_build():
+    """Stride-1 records of a two-event stream, single- and multi-instance."""
+    other = EventType("door", duration_mean=20, duration_std=2, lead_time=40)
+    instances = [
+        EventInstance(300, 339, ET), EventInstance(380, 420, ET),
+        EventInstance(900, 939, ET), EventInstance(350, 369, other),
+    ]
+    stream = VideoStream(1500, EventSchedule(1500, instances), seed=0)
+    features = extract_features(stream, [ET, other])
+    builder = DatasetBuilder(window_size=8, horizon=120, stride=1)
+    built = {
+        mode: builder.build(stream, features, [ET, other], multi_instance=mode)
+        for mode in (False, True)
+    }
+    return stream, [ET, other], built
 
 
 class TestReferenceFrames:
@@ -77,6 +97,29 @@ class TestBuild:
         records, _ = self.build(stride=5, max_records=10)
         assert len(records) == 10
         assert np.all(np.diff(records.frames) > 0)  # sorted
+
+    @settings(max_examples=60, deadline=None)
+    @given(row=st.integers(0, 10_000), multi_instance=st.booleans())
+    def test_horizon_targets_match_built_rows(
+        self, two_event_build, row, multi_instance
+    ):
+        """The per-horizon target function is what ``build`` packs, row
+        for row: single- and multi-instance, two event types, events
+        ongoing at, inside, and censored by the horizon."""
+        stream, event_types, built = two_event_build
+        records = built[multi_instance]
+        row %= len(records)
+        occupancy = np.zeros((2, 120)) if multi_instance else None
+        labels, starts, ends, censored = horizon_targets(
+            stream.schedule, event_types, int(records.frames[row]), 120,
+            occupancy=occupancy,
+        )
+        np.testing.assert_array_equal(labels, records.labels[row])
+        np.testing.assert_array_equal(starts, records.starts[row])
+        np.testing.assert_array_equal(ends, records.ends[row])
+        np.testing.assert_array_equal(censored, records.censored[row])
+        if multi_instance:
+            np.testing.assert_array_equal(occupancy, records.occupancy[row])
 
     def test_feature_length_mismatch_raises(self):
         stream = tiny_stream()

@@ -569,16 +569,17 @@ def test_binary_write_rules_exempt_the_atomic_writers(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Serving loop: no private calls across objects in fleet/ and cloud/
+# Serving loop: no private calls across objects in fleet/, cloud/,
+# lifecycle/ and drift/
 # ----------------------------------------------------------------------
-# The horizon loop has one owner, FleetMarshaller.  A fleet or cloud
-# module that calls ``other._helper(...)`` on another object is how a
-# second copy of that loop grows back: the helper stays in one class
-# while the loop that needs it lives in another.  Calls on ``self``/``cls``
+# The horizon loop has one owner, FleetMarshaller.  A serving-side module
+# that calls ``other._helper(...)`` on another object is how a second
+# copy of that loop grows back: the helper stays in one class while the
+# loop that needs it lives in another.  Calls on ``self``/``cls``
 # and dunder calls (``super().__init__``, ``object.__setattr__``) are
 # fine; everything else goes through a public method.
 
-PRIVATE_CALL_SUBDIRS = ("fleet", "cloud")
+PRIVATE_CALL_SUBDIRS = ("fleet", "cloud", "lifecycle", "drift")
 
 
 def scan_private_calls(path, root=None):
