@@ -1,12 +1,12 @@
-"""Row-stable kernel throughput — the per-row BLAS gate.
+"""Row-stable kernel throughput — the tiled-GEMM gate.
 
 Every affine map of the serving engines goes through
 :func:`repro.core.rowstable_matmul`, whose contract is a per-row
 accumulation order that never depends on the batch.  It meets that
-contract with one ``(1, I) @ (I, O)`` BLAS call per row.  The
-reference here is the contraction it replaced, ``np.einsum`` without
-path optimisation, which meets the same contract with a fixed-order
-loop per output element.
+contract with one fixed-shape ``(8, I) @ (I, O)`` BLAS GEMM per tile of
+eight rows (the last tile zero-padded).  The reference here is
+``np.einsum`` without path optimisation, which meets the same contract
+with a fixed-order loop per output element.
 
 The kernels are driven by one windowed
 :meth:`repro.core.BatchedInference.predict` at the shapes of the
@@ -134,6 +134,6 @@ def test_rowstable_kernel(benchmark, save_result, monkeypatch):
         ),
     )
 
-    # Acceptance floor: over a TA9-shaped predict, the per-row BLAS kernel
-    # must run at least 1.5x faster than the einsum contraction it replaced.
+    # Acceptance floor: over a TA9-shaped predict, the tiled BLAS kernel
+    # must run at least 1.5x faster than the einsum contraction.
     assert speedup >= 1.5, f"rowstable kernel speedup {speedup:.2f}x below 1.5x floor"

@@ -342,11 +342,8 @@ class StreamMarshaller:
         else:
             starts, ends = extract_intervals(output.frame_scores, self.tau2)
         segments = [
-            [
-                [(int(starts[b, k]), int(ends[b, k]))] if exists[b, k] else []
-                for k in range(exists.shape[1])
-            ]
-            for b in range(batch)
+            [[(s, e)] if on else [] for on, s, e in zip(*row)]
+            for row in zip(exists.tolist(), starts.tolist(), ends.tolist())
         ]
         return exists, segments
 

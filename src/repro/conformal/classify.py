@@ -20,7 +20,7 @@ import numpy as np
 from ..core.model import EventHit, EventHitOutput
 from ..data.records import RecordSet
 from ..obs import span
-from .base import conformal_p_values, nonconformity_from_score
+from .base import nonconformity_from_score
 
 __all__ = ["ConformalClassifier"]
 
@@ -98,12 +98,15 @@ class ConformalClassifier:
         if self._calibrations is None:
             raise RuntimeError("call calibrate() before predicting")
         test_scores = self.nonconformity(output.scores)
-        columns = []
+        # conformal_p_values per column, on the stored (already sorted)
+        # calibration scores: the count of a_i >= a_o is C - (first index
+        # with a_i >= a_o).
+        p_values = np.empty(test_scores.shape)
         for k, calib in enumerate(self._calibrations):
-            columns.append(
-                conformal_p_values(test_scores[:, k], calib.nonconformity)
-            )
-        return np.stack(columns, axis=1)
+            sorted_calib = calib.nonconformity
+            idx = np.searchsorted(sorted_calib, test_scores[:, k], side="left")
+            p_values[:, k] = (sorted_calib.size - idx) / (sorted_calib.size + 1.0)
+        return p_values
 
     def predict(self, output: EventHitOutput, confidence: float) -> np.ndarray:
         """Eq. 9: L̂ = {E_k : p_k ≥ 1 − c}.  Returns a (B, K) bool array."""

@@ -14,7 +14,7 @@ frames (SPL) for recall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -53,6 +53,8 @@ class ConformalRegressor:
         self.model = model
         self.tau2 = tau2
         self._residuals: Optional[List[_EventResiduals]] = None
+        # α → (K, 2) quantiles; valid until the next calibrate().
+        self._quantiles: Dict[float, np.ndarray] = {}
 
     @property
     def is_calibrated(self) -> bool:
@@ -92,20 +94,28 @@ class ConformalRegressor:
                     )
                 )
             self._residuals = residuals
+            self._quantiles = {}
         return self
 
     # ------------------------------------------------------------------
     def quantiles(self, alpha: float) -> np.ndarray:
-        """(K, 2) array of (q̂ˢ_k, q̂ᵉ_k) at coverage level α."""
+        """(K, 2) array of (q̂ˢ_k, q̂ᵉ_k) at coverage level α.
+
+        Memoized per α until the next :meth:`calibrate`; every call
+        returns a fresh copy.
+        """
         if self._residuals is None:
             raise RuntimeError("call calibrate() before predicting")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        out = np.zeros((len(self._residuals), 2))
-        for k, res in enumerate(self._residuals):
-            out[k, 0] = residual_quantile(res.start_residuals, alpha)
-            out[k, 1] = residual_quantile(res.end_residuals, alpha)
-        return out
+        q = self._quantiles.get(alpha)
+        if q is None:
+            q = np.zeros((len(self._residuals), 2))
+            for k, res in enumerate(self._residuals):
+                q[k, 0] = residual_quantile(res.start_residuals, alpha)
+                q[k, 1] = residual_quantile(res.end_residuals, alpha)
+            self._quantiles[alpha] = q
+        return q.copy()
 
     def widen(self, predictions: PredictionBatch, alpha: float) -> PredictionBatch:
         """Eq. 11: widen predicted intervals by the α-quantile residuals.
@@ -113,16 +123,31 @@ class ConformalRegressor:
         Start offsets move earlier (clamped at 1), end offsets later
         (clamped at H); events predicted absent are untouched.
         """
+        return self._widened(
+            predictions.exists.copy(),
+            predictions.starts,
+            predictions.ends,
+            predictions.horizon,
+            alpha,
+        )
+
+    def _widened(
+        self,
+        exists: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        horizon: int,
+        alpha: float,
+    ) -> PredictionBatch:
         q = self.quantiles(alpha)
-        widened_starts = np.maximum(
-            1, predictions.starts - q[None, :, 0].astype(int)
+        widened_starts = np.maximum(1, starts - q[None, :, 0].astype(int))
+        widened_ends = np.minimum(horizon, ends + q[None, :, 1].astype(int))
+        return PredictionBatch(
+            exists=exists,
+            starts=np.where(exists, widened_starts, 0),
+            ends=np.where(exists, widened_ends, 0),
+            horizon=horizon,
         )
-        widened_ends = np.minimum(
-            predictions.horizon, predictions.ends + q[None, :, 1].astype(int)
-        )
-        starts = np.where(predictions.exists, widened_starts, 0)
-        ends = np.where(predictions.exists, widened_ends, 0)
-        return predictions.with_intervals(starts, ends)
 
     def predict(
         self,
@@ -142,14 +167,8 @@ class ConformalRegressor:
         alpha:
             Coverage level α.
         """
-        exists = np.asarray(exists, dtype=bool)
+        exists = np.array(exists, dtype=bool)
         if exists.shape != output.scores.shape:
             raise ValueError("exists must be shaped (B, K) like the scores")
         starts, ends = extract_intervals(output.frame_scores, self.tau2)
-        raw = PredictionBatch(
-            exists=exists,
-            starts=np.where(exists, starts, 0),
-            ends=np.where(exists, ends, 0),
-            horizon=output.horizon,
-        )
-        return self.widen(raw, alpha)
+        return self._widened(exists, starts, ends, output.horizon, alpha)

@@ -14,13 +14,14 @@ Correctness guarantee
     ``predict(X).scores[i] == predict(X[i:i+1]).scores[0]``  (bitwise)
 
 and likewise for ``frame_scores``.  BLAS-backed ``@`` does *not* satisfy
-this (GEMV vs. GEMM kernels change the per-row accumulation order by up to
-an ulp, which can flip a τ-threshold decision), so every affine map here
-goes through :func:`rowstable_matmul` — one ``(1, I) @ (I, O)`` BLAS call
-per row, whose accumulation order depends only on the weight shape, never
-on the batch size.  The guarantee is what makes a fleet run byte-identical
-to N sequential runs; it is pinned by ``tests/core/test_batched.py`` and
-``tests/core/test_rowstable_guard.py``.
+this (GEMM picks its blocking from the row count, which changes the
+per-row accumulation order by up to an ulp and can flip a τ-threshold
+decision), so every affine map here goes through :func:`rowstable_matmul`
+— one fixed-shape ``(8, I) @ (I, O)`` BLAS GEMM per zero-padded tile of
+eight rows, whose accumulation order depends only on the weight shape,
+never on the batch size.  The guarantee is what makes a fleet run
+byte-identical to N sequential runs; it is pinned by
+``tests/core/test_batched.py`` and ``tests/core/test_rowstable_guard.py``.
 
 The engine reads the model's parameters live (no copies), so a retrained
 or fine-tuned model is served without rebuilding the engine.  Inference is
@@ -31,7 +32,8 @@ graph, which also makes the single-stream path measurably faster than
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import math
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,24 +50,43 @@ from ..nn import (
 from ..nn.layers import ReLU, Sigmoid, Tanh
 from .model import EventHit, EventHitOutput
 
-__all__ = ["BatchedInference", "rowstable_matmul"]
+__all__ = ["BatchedInference", "TILE_ROWS", "rowstable_matmul"]
+
+
+#: Rows per BLAS call in :func:`rowstable_matmul`.  Every call for a given
+#: weight has the shape ``(TILE_ROWS, I) @ (I, O)``.
+TILE_ROWS = 8
 
 
 def rowstable_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """``x @ weight`` with a per-row accumulation order that does not
     depend on the number of rows.
 
-    Each row is lifted to a ``(1, I)`` matrix, so ``np.matmul`` makes one
-    vector-matrix BLAS call per row (GEMV; DOT when ``O == 1``; numpy's
-    own loop when ``I == 1``).  Which kernel runs, and so the order it
-    sums in, is fixed by the weight's shape and the row's own layout —
-    never by how many rows ride along.  A plain ``x @ weight`` over the
-    whole batch hands BLAS one GEMM whose blocking, and therefore partial
-    sums, change with the row count.  Accepts any leading batch shape
-    (the fused LSTM forward projects the whole ``(B, T, D)`` input in one
-    call).
+    The rows (any leading batch shape, flattened) are cut into fixed
+    ``(TILE_ROWS, I)`` tiles, the last one zero-padded, and one
+    ``np.matmul`` over the ``(tiles, TILE_ROWS, I)`` stack makes one BLAS
+    GEMM per tile.  Every call for a given weight therefore has the same
+    shape, so the kernel — and the order it sums in — is fixed by the
+    weight alone; how many rows ride along only changes how many calls
+    run.  A row's slot inside its tile is the one thing that varies, and
+    ``tests/core/test_rowstable_guard.py`` pins that the kernels sum every
+    slot alike.  A plain ``x @ weight`` over the whole batch hands BLAS one
+    GEMM whose blocking, and therefore partial sums, change with the row
+    count.  Accepts any leading batch shape (the fused LSTM forward
+    projects the whole ``(T, B, D)`` input in one call).
     """
-    return np.matmul(x[..., None, :], weight)[..., 0, :]
+    *lead, contract = x.shape
+    rows = math.prod(lead)
+    cols = weight.shape[1]
+    tiles = rows // TILE_ROWS
+    if rows % TILE_ROWS == 0 and x.flags.c_contiguous:
+        out = np.matmul(x.reshape(tiles, TILE_ROWS, contract), weight)
+        return out.reshape(*lead, cols)
+    # Copy into C-contiguous tiles, the last one zero-padded.
+    padded = np.zeros((tiles + (rows % TILE_ROWS > 0), TILE_ROWS, contract))
+    padded.reshape(-1, contract)[:rows] = x.reshape(rows, contract)
+    out = np.matmul(padded, weight).reshape(-1, cols)[:rows]
+    return out.reshape(*lead, cols)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -143,7 +164,7 @@ class BatchedInference:
         if isinstance(layer, Linear):
             out = rowstable_matmul(x, layer.weight.data)
             if layer.bias is not None:
-                out = out + layer.bias.data
+                out += layer.bias.data
             return out
         if isinstance(layer, Tanh):
             return np.tanh(x)
@@ -241,10 +262,40 @@ class BatchedInference:
         the continual engine reuses it over per-step hidden states, and
         the windowed path reuses it over whole-window encodings, with
         bitwise-equal rows whenever the encodings are bitwise equal.
+
+        Each head must end in ``Linear → Sigmoid`` (as EventHit builds
+        them): its last ``Linear`` writes straight into the head's slice
+        of one ``(B, K, H+1)`` buffer, and the output sigmoid runs once
+        over the whole buffer with :func:`_sigmoid`'s formula.
         """
         z = self._eval_sequential(self.model.shared, encoded)
         head_input = np.concatenate([z, last_vector], axis=1)
-        outputs: List[np.ndarray] = [
-            self._eval_layer(head, head_input) for head in self.model.heads()
-        ]
-        return np.stack(outputs, axis=1)  # (B, K, H+1)
+        heads = self.model.heads()
+        theta = np.empty(
+            (head_input.shape[0], len(heads), self.model.config.horizon + 1)
+        )
+        for k, head in enumerate(heads):
+            layers = head.net._layers if isinstance(head, MLP) else []
+            if not (
+                len(layers) >= 2
+                and isinstance(layers[-2], Linear)
+                and isinstance(layers[-1], Sigmoid)
+            ):
+                raise TypeError(
+                    "BatchedInference needs every head to end in Linear -> Sigmoid"
+                )
+            hidden = head_input
+            for layer in layers[:-2]:
+                hidden = self._eval_layer(layer, hidden)
+            last = layers[-2]
+            product = rowstable_matmul(hidden, last.weight.data)
+            if last.bias is not None:
+                np.add(product, last.bias.data, out=theta[:, k, :])
+            else:
+                theta[:, k, :] = product
+        # 1 / (1 + exp(-x)), in place: bitwise _sigmoid.
+        np.negative(theta, out=theta)
+        np.exp(theta, out=theta)
+        theta += 1.0
+        np.divide(1.0, theta, out=theta)
+        return theta

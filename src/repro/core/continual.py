@@ -37,11 +37,16 @@ to the ungated continual path whenever zero gates fire.  Both pins live in
 ``tests/core/test_continual.py`` / ``tests/fleet/test_continual_fleet.py``.
 
 Like the batched engine, every matmul goes through
-:func:`~repro.core.batched.rowstable_matmul` — one BLAS vector-matrix call
-per row, shaped by the weight alone — so per-lane results never depend on
-which other lanes share the batch, and the warm-up's 3-D hoisted
-projection equals the step kernel's per-frame 2-D ones bit for bit.
-Fleet serving stays bitwise equivalent to sequential serving.
+:func:`~repro.core.batched.rowstable_matmul` — one fixed-shape BLAS GEMM
+per 8-row tile, shaped by the weight alone — so per-lane results never
+depend on which other lanes share the batch, and the warm-up's hoisted
+time-major projection equals the step kernel's per-frame ones bit for
+bit.  Fleet serving stays bitwise equivalent to sequential serving.
+
+Carried state lives in row-indexed arrays (``h``, ``c``, the last
+consumed frame, the cached scores, counters), one row per lane key, so a
+tick gathers and scatters whole groups of lanes; the common case, every
+lane at one stride, advances as one group.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from ..obs import inc
 from .batched import BatchedInference, rowstable_matmul
 from .model import EventHit, EventHitOutput
 
-__all__ = ["ContinualInference", "ContinualLaneState", "ENGINES", "make_engine"]
+__all__ = ["ContinualInference", "ENGINES", "make_engine"]
 
 #: Engine registry names accepted by :func:`make_engine` (and the CLI's
 #: ``--engine`` flag).
@@ -67,23 +72,7 @@ ENGINES = ("windowed", "continual", "gated")
 DEFAULT_GATE_DELTA = 0.05
 
 
-class ContinualLaneState:
-    """One lane's carried recurrence state (private to the engine)."""
-
-    __slots__ = ("h", "c", "end_frame", "ref", "theta", "gate_hits", "computes")
-
-    def __init__(self) -> None:
-        self.h: Optional[np.ndarray] = None  # (hidden,)
-        self.c: Optional[np.ndarray] = None  # (hidden,) — LSTM only
-        self.end_frame: int = -1  # absolute frame the state has consumed up to
-        self.ref: Optional[np.ndarray] = None  # features of the last consumed frame
-        self.theta: Optional[np.ndarray] = None  # cached (K, H+1) scores
-        self.gate_hits: int = 0
-        self.computes: int = 0
-
-
-# Per-row actions resolved by _classify (module constants, not an enum, to
-# keep the per-tick dispatch allocation-free).
+# Per-row actions (module constants, not an enum: they index numpy arrays).
 _WARMUP, _STEP, _GATE = 0, 1, 2
 
 
@@ -118,7 +107,17 @@ class ContinualInference(BatchedInference):
         if gate_delta is not None and gate_delta < 0:
             raise ValueError("gate_delta must be >= 0 (or None to disable)")
         self.gate_delta = gate_delta
-        self._lanes: Dict[str, ContinualLaneState] = {}
+        # Carried state lives in row-indexed arrays: ``_rows`` maps a lane
+        # key to its row, and each array holds one entry per row.
+        self._rows: Dict[str, int] = {}
+        self._free: List[int] = []
+        self._h = np.empty((0, model.encoder.hidden_size))
+        self._c = np.empty_like(self._h)  # LSTM only
+        self._ref = np.empty((0, model.num_features))  # last consumed frame
+        self._theta = np.empty((0, model.num_events, model.config.horizon + 1))
+        self._end = np.empty(0, dtype=np.int64)  # last consumed frame index
+        self._gate_hits = np.empty(0, dtype=np.int64)
+        self._computes = np.empty(0, dtype=np.int64)
         self.refresh_weights()
 
     # ------------------------------------------------------------------
@@ -180,48 +179,59 @@ class ContinualInference(BatchedInference):
         may have consumed frames the guard no longer vouches for.
         """
         if keys is None:
-            self._lanes.clear()
+            self._rows.clear()
+            self._free = list(range(len(self._end) - 1, -1, -1))
             return
         for key in keys:
-            self._lanes.pop(key, None)
+            row = self._rows.pop(key, None)
+            if row is not None:
+                self._free.append(row)
 
     def has_state(self, key: str) -> bool:
-        return key in self._lanes
+        return key in self._rows
 
     def gate_stats(self, key: str) -> Tuple[int, int]:
         """``(gate_hits, computes)`` counters for one lane (0, 0 if unknown)."""
-        slot = self._lanes.get(key)
-        if slot is None:
+        row = self._rows.get(key)
+        if row is None:
             return (0, 0)
-        return (slot.gate_hits, slot.computes)
+        return (int(self._gate_hits[row]), int(self._computes[row]))
 
     # ------------------------------------------------------------------
     # The stateful update
     # ------------------------------------------------------------------
-    def _classify(
-        self, slot: Optional[ContinualLaneState], window: np.ndarray, end_frame: int
-    ) -> Tuple[int, int]:
-        """(action, stride) for one lane's incoming window."""
-        steps = window.shape[0]
-        if slot is None or slot.end_frame < 0:
-            stride = steps
-        else:
-            stride = end_frame - slot.end_frame
-        if stride <= 0:
-            stride = steps  # restart / rewind: treat as a fresh lane
-        gated = (
-            self.gate_delta is not None
-            and slot is not None
-            and slot.theta is not None
-            and slot.ref is not None
-        )
-        if gated:
-            new = window[-min(stride, steps) :]
-            if np.max(np.abs(new - slot.ref)) <= self.gate_delta:
-                return _GATE, stride
-        if stride >= steps:
-            return _WARMUP, steps
-        return _STEP, stride
+    def _lane_rows(self, keys: Sequence[str]) -> np.ndarray:
+        """State rows for ``keys``; an unseen lane takes a free row."""
+        rows, free = self._rows, self._free
+        found = [rows.get(key) for key in keys]
+        if None in found:
+            fresh: List[int] = []
+            for i, key in enumerate(keys):
+                if key not in rows:
+                    if not free:
+                        self._grow()
+                    rows[key] = free.pop()
+                    fresh.append(rows[key])
+                found[i] = rows[key]
+            self._end[fresh] = -1
+            self._gate_hits[fresh] = 0
+            self._computes[fresh] = 0
+        return np.array(found, dtype=np.intp)
+
+    def _grow(self) -> None:
+        """Double the state arrays' rows and put the new ones on the free list."""
+        capacity = len(self._end)
+        extra = max(8, capacity)
+
+        def grown(arr: np.ndarray) -> np.ndarray:
+            pad = np.empty((extra,) + arr.shape[1:], dtype=arr.dtype)
+            return np.concatenate([arr, pad])
+
+        self._h, self._c = grown(self._h), grown(self._c)
+        self._ref, self._theta = grown(self._ref), grown(self._theta)
+        self._end = grown(self._end)
+        self._gate_hits, self._computes = grown(self._gate_hits), grown(self._computes)
+        self._free.extend(range(capacity + extra - 1, capacity - 1, -1))
 
     def update(
         self,
@@ -263,96 +273,116 @@ class ContinualInference(BatchedInference):
         if batch == 0 or steps == 0:
             raise ValueError("empty covariate batch")
 
-        actions: List[Tuple[int, int]] = []
-        slots: List[ContinualLaneState] = []
-        for i, key in enumerate(keys):
-            slot = self._lanes.get(key)
-            actions.append(self._classify(slot, x[i], int(end_frames[i])))
-            if slot is None:
-                slot = ContinualLaneState()
-                self._lanes[key] = slot
-            slots.append(slot)
+        index = self._lane_rows(keys)
+        ends = np.asarray(end_frames, dtype=np.int64)
+        # Stride since each lane's last consumed frame; a new lane, a
+        # restart or a rewind warms up on the full window.
+        prev = self._end[index]
+        stride = ends - prev
+        stride[(prev < 0) | (stride <= 0)] = steps
+        action = np.where(stride >= steps, _WARMUP, _STEP)
+        if self.gate_delta is not None:
+            # Gate a lane that has scores to re-serve when every new frame
+            # lies within gate_delta (∞-norm) of the last consumed one.
+            seen = np.flatnonzero(self._computes[index] > 0)
+            if len(seen):
+                ref = self._ref[index[seen]]
+                drift = np.abs(x[seen] - ref[:, None, :]).max(axis=2)
+                new = np.arange(steps) >= (steps - stride[seen])[:, None]
+                moved = np.where(new, drift, -np.inf).max(axis=1)
+                action[seen[moved <= self.gate_delta]] = _GATE
+        self._end[index] = ends
 
-        hidden = self.model.encoder.hidden_size
         is_lstm = self.model.encoder_kind == "lstm"
-        h_rows = np.empty((batch, hidden))
-        c_rows = np.empty((batch, hidden)) if is_lstm else None
+        h_rows = np.empty((batch, self.model.encoder.hidden_size))
+        c_rows = np.empty_like(h_rows) if is_lstm else None
+
+        def lanes(rows: np.ndarray):
+            # A group that is the whole batch indexes by slice: no copies.
+            return slice(None) if len(rows) == batch else rows
 
         # Warm-up rows: one stacked whole-window forward (bitwise the
         # windowed engine's encoding — same kernel, same contraction).
-        warm = [i for i, (a, _) in enumerate(actions) if a == _WARMUP]
-        if warm:
+        warm = np.flatnonzero(action == _WARMUP)
+        if len(warm):
             if is_lstm:
-                wx_p, wh_p, b_p = self._prepared_weights
-                h_w, c_w = lstm_forward_numpy(
-                    x[warm],
-                    self.model.encoder.cell.weight_x.data,
-                    self.model.encoder.cell.weight_h.data,
-                    self.model.encoder.cell.bias.data,
+                cell = self.model.encoder.cell
+                h_rows[lanes(warm)], c_rows[lanes(warm)] = lstm_forward_numpy(
+                    x[lanes(warm)],
+                    cell.weight_x.data,
+                    cell.weight_h.data,
+                    cell.bias.data,
                     matmul=rowstable_matmul,
                     return_state=True,
                 )
-                c_rows[warm] = c_w
             else:
-                h_w = self._eval_gru(self.model.encoder, x[warm])
-            h_rows[warm] = h_w
+                h_rows[lanes(warm)] = self._eval_gru(self.model.encoder, x[lanes(warm)])
             inc("continual.warmups", len(warm))
 
         # Step rows, grouped by stride so each group advances in lock-step
-        # (per-row math is batch-invariant, so grouping is free).
-        step_rows = [i for i, (a, _) in enumerate(actions) if a == _STEP]
-        by_stride: Dict[int, List[int]] = {}
-        for i in step_rows:
-            by_stride.setdefault(actions[i][1], []).append(i)
-        for stride, rows in by_stride.items():
-            h_g = np.stack([slots[i].h for i in rows])
-            c_g = np.stack([slots[i].c for i in rows]) if is_lstm else None
-            frames = x[rows, steps - stride :, :]  # (G, stride, D)
-            for t in range(stride):
+        # (per-row math is batch-invariant, so grouping is free); a
+        # stride-1 fleet is one group.
+        step = np.flatnonzero(action == _STEP)
+        if len(step):
+            strides = stride[step]
+            groups = (
+                [(step, int(strides[0]))]
+                if strides.min() == strides.max()
+                else [(step[strides == g], g) for g in np.unique(strides).tolist()]
+            )
+        else:
+            groups = []
+        for rows, lane_stride in groups:
+            h_g = self._h[index[rows]]
+            c_g = self._c[index[rows]] if is_lstm else None
+            # Time-major (stride, G, D): each step's frames are contiguous.
+            frames = np.ascontiguousarray(
+                x[lanes(rows), steps - lane_stride :, :].transpose(1, 0, 2)
+            )
+            for frame in frames:
                 if is_lstm:
-                    wx_p, wh_p, b_p = self._prepared_weights
                     h_g, c_g = lstm_step_numpy(
-                        frames[:, t], h_g, c_g, wx_p, wh_p, b_p,
+                        frame, h_g, c_g, *self._prepared_weights,
                         matmul=rowstable_matmul,
                     )
                 else:
                     h_g = gru_step_numpy(
-                        frames[:, t], h_g, *self._prepared_weights,
+                        frame, h_g, *self._prepared_weights,
                         matmul=rowstable_matmul,
                     )
-            h_rows[rows] = h_g
+            h_rows[lanes(rows)] = h_g
             if is_lstm:
-                c_rows[rows] = c_g
-            inc("continual.steps", stride * len(rows))
+                c_rows[lanes(rows)] = c_g
+            inc("continual.steps", lane_stride * len(rows))
 
-        # Head pass over every computed row in one stacked call.
-        computed = sorted(warm + step_rows)
-        theta = np.empty(
-            (batch, self.model.num_events, self.model.config.horizon + 1)
-        )
-        if computed:
-            theta[computed] = self._head_theta(
-                h_rows[computed], x[computed, -1, :]
+        # Head pass over every computed row in one stacked call; gated
+        # rows re-serve their cached scores.
+        gated = np.flatnonzero(action == _GATE) if self.gate_delta is not None else ()
+        if not len(gated):
+            theta = self._head_theta(h_rows, x[:, -1, :])
+            computed = slice(None)
+        else:
+            theta = np.empty(
+                (batch, self.model.num_events, self.model.config.horizon + 1)
             )
-
-        gate_hits = 0
-        for i, (action, _) in enumerate(actions):
-            slot = slots[i]
-            slot.end_frame = int(end_frames[i])
-            if action == _GATE:
-                theta[i] = slot.theta
-                slot.gate_hits += 1
-                gate_hits += 1
+            computed = np.flatnonzero(action != _GATE)
+            h_rows = h_rows[computed]
+            c_rows = c_rows[computed] if is_lstm else None
+            if len(computed):
+                theta[computed] = self._head_theta(h_rows, x[computed, -1, :])
+            theta[gated] = self._theta[index[gated]]
+            self._gate_hits[index[gated]] += 1
+            for i in gated.tolist():
                 inc(f"continual.gate.hits.{keys[i]}")
-                continue
-            slot.h = h_rows[i].copy()
+            inc("continual.gate.hits", len(gated))
+        state_rows = index[computed]
+        if len(state_rows):
+            self._h[state_rows] = h_rows
             if is_lstm:
-                slot.c = c_rows[i].copy()
-            slot.ref = x[i, -1, :].copy()
-            slot.theta = theta[i].copy()
-            slot.computes += 1
-        if gate_hits:
-            inc("continual.gate.hits", gate_hits)
+                self._c[state_rows] = c_rows
+            self._ref[state_rows] = x[computed, -1, :]
+            self._theta[state_rows] = theta[computed]
+            self._computes[state_rows] += 1
 
         return EventHitOutput(theta[:, :, 0], theta[:, :, 1:])
 

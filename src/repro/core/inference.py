@@ -103,17 +103,20 @@ def extract_intervals(
     frame_scores = np.asarray(frame_scores)
     if frame_scores.ndim != 3:
         raise ValueError("frame_scores must be (B, K, H)")
-    above = frame_scores >= tau2
-    any_above = above.any(axis=2)
     horizon = frame_scores.shape[2]
-    offsets = np.arange(1, horizon + 1)
-
-    # min/max above-threshold offsets; argmax fallback where none clears.
-    first = np.where(above, offsets[None, None, :], horizon + 1).min(axis=2)
-    last = np.where(above, offsets[None, None, :], 0).max(axis=2)
-    peak = frame_scores.argmax(axis=2) + 1
-    starts = np.where(any_above, first, peak)
-    ends = np.where(any_above, last, peak)
+    # One pass per end: argmax on the mask finds the first True offset,
+    # and on the reversed mask the last; the gathered first slot says
+    # whether anything cleared τ2 at all.
+    above = frame_scores >= tau2
+    first = above.argmax(axis=2)
+    last = horizon - 1 - above[:, :, ::-1].argmax(axis=2)
+    any_above = np.take_along_axis(above, first[:, :, None], axis=2)[:, :, 0]
+    starts = first + 1
+    ends = last + 1
+    if not any_above.all():
+        peak = frame_scores.argmax(axis=2) + 1
+        starts = np.where(any_above, starts, peak)
+        ends = np.where(any_above, ends, peak)
     return starts.astype(int), ends.astype(int)
 
 

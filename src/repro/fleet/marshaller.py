@@ -103,6 +103,8 @@ class _LaneState:
 
     __slots__ = (
         "lane",
+        "name",
+        "stream",
         "report",
         "shadow",
         "frame",
@@ -115,6 +117,8 @@ class _LaneState:
 
     def __init__(self, lane: FleetLane, start_frame: int):
         self.lane = lane
+        self.name = lane.name
+        self.stream = lane.stream
         self.report = MarshallingReport()
         # Private replay of this lane's billing, for cost attribution: the
         # shared ledger charges marginal cost against the *pooled* frame
@@ -134,14 +138,6 @@ class _LaneState:
         # Current serving mode (one of LANE_MODES); admission control
         # flips it between ticks via the run's ``lane_modes`` mapping.
         self.mode: str = "serve"
-
-    @property
-    def name(self) -> str:
-        return self.lane.name
-
-    @property
-    def stream(self) -> VideoStream:
-        return self.lane.stream
 
 
 @dataclass
@@ -345,27 +341,29 @@ class FleetMarshaller:
                 tick=tick,
             )
         requests: List[RelayRequest] = []
-        for i, state in enumerate(active):
-            segments = segments_rows[i]
-            for k, event_type in enumerate(m.event_types):
-                state.report.true_event_frames += self._horizon_truth_frames(
-                    state.stream, state.frame, event_type
-                )
-                for start_offset, end_offset in segments[k]:
-                    segment = state.stream.segment(
-                        state.frame + start_offset, state.frame + end_offset
-                    )
+        horizon = m.horizon
+        event_types = m.event_types
+        for state, segments in zip(active, segments_rows):
+            frame, stream, report = state.frame, state.stream, state.report
+            frames_in = stream.schedule.frames_in
+            first, last = frame + 1, frame + horizon
+            for event_type, runs in zip(event_types, segments):
+                # _horizon_truth_frames, inlined for the hot loop.
+                report.true_event_frames += frames_in(event_type, first, last)
+                for start_offset, end_offset in runs:
                     requests.append(
                         RelayRequest(
                             lane=state.name,
-                            segment=segment,
+                            segment=stream.segment(
+                                frame + start_offset, frame + end_offset
+                            ),
                             event_type=event_type,
                             tick=tick,
                         )
                     )
-            state.report.horizons_evaluated += 1
-            state.report.frames_covered += m.horizon
-            state.frame += m.horizon
+            report.horizons_evaluated += 1
+            report.frames_covered += horizon
+            state.frame = frame + horizon
         return requests
 
     def _quarantine_tick(

@@ -240,9 +240,8 @@ def lstm_forward_numpy(
     wx_p[:, 3 * hidden :] *= 2.0
     wh_p[:, 3 * hidden :] *= 2.0
     b_p[3 * hidden :] *= 2.0
-    pooled = None
+    # Time-major projection: per-step slices of ``xw`` are contiguous.
     if matmul is None:
-        # Time-major pooled projection: per-step slices are contiguous.
         pooled = _workspaces.take(steps, batch, features)
         np.copyto(pooled, x.transpose(1, 0, 2))
         xw = _workspaces.take(steps, batch, 4 * hidden)
@@ -252,7 +251,7 @@ def lstm_forward_numpy(
             out=xw.reshape(steps * batch, 4 * hidden),
         )
     else:
-        xw = matmul(x, wx_p).transpose(1, 0, 2)
+        xw = matmul(np.ascontiguousarray(x.transpose(1, 0, 2)), wx_p)
     xw += b_p
 
     h = np.array(h0, dtype=np.float64) if h0 is not None else np.zeros((batch, hidden))
@@ -263,9 +262,9 @@ def lstm_forward_numpy(
     for t in range(steps):
         if matmul is None:
             np.matmul(h, wh_p, out=gates)
+            gates += xw[t]
         else:
-            gates = matmul(h, wh_p)
-        gates += xw[t]
+            np.add(matmul(h, wh_p), xw[t], out=gates)
         _activate_gates_inplace(gates, hidden)
         c *= gates[:, 2 * hidden : 3 * hidden]  # f ⊙ c_prev
         np.multiply(
@@ -274,7 +273,7 @@ def lstm_forward_numpy(
         c += tmp
         np.tanh(c, out=tanh_c)
         np.multiply(gates[:, :hidden], tanh_c, out=h)  # o ⊙ tanh(c)
-    if pooled is not None:
+    if matmul is None:
         _workspaces.give(pooled, xw)
     if return_state:
         return h, c

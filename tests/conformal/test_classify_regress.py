@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.conformal import ConformalClassifier, ConformalRegressor, margin_nonconformity
+from repro.conformal.base import conformal_p_values, residual_quantile
 from repro.core import EventHit, EventHitConfig, threshold_predictions, train_eventhit
-from repro.core.inference import PredictionBatch
+from repro.core.inference import PredictionBatch, extract_intervals
 from repro.data import RecordSet
 from repro.video.events import EventType
 
@@ -186,8 +187,6 @@ class TestConformalRegressor:
         model, calib, test = trained
         reg = ConformalRegressor(model).calibrate(calib)
         output = model.predict(test.covariates)
-        from repro.core.inference import extract_intervals
-
         pred_starts, pred_ends = extract_intervals(output.frame_scores, 0.5)
         alpha = 0.8
         q = reg.quantiles(alpha)
@@ -225,3 +224,92 @@ class TestConformalRegressor:
         narrow = reg.predict(output, exists, alpha=0.2)
         wide = reg.predict(output, exists, alpha=0.99)
         assert (wide.predicted_frames() >= narrow.predicted_frames()).all()
+
+
+def three_event_records(b=80, h=16, seed=0):
+    """Random labels for three events over random covariates."""
+    rng = np.random.default_rng(seed)
+    labels = (rng.random((b, 3)) < 0.5).astype(float)
+    starts = np.where(labels > 0, rng.integers(1, h - 4, size=(b, 3)), 0)
+    ends = np.where(labels > 0, starts + rng.integers(0, 4, size=(b, 3)), 0)
+    return RecordSet(
+        event_types=[EventType(name, 4, 1) for name in ("a", "b", "c")],
+        horizon=h,
+        frames=np.arange(b),
+        covariates=rng.normal(0, 0.5, size=(b, 6, 4)),
+        labels=labels,
+        starts=starts,
+        ends=ends,
+        censored=np.zeros((b, 3)),
+    )
+
+
+class TestDecideRewriteOracles:
+    """The one-pass decide helpers against the reference functions."""
+
+    @pytest.mark.parametrize("measure", [None, margin_nonconformity])
+    def test_p_values_equal_conformal_p_values_per_column(self, measure):
+        model = EventHit(4, 3, config=CONFIG)
+        calib, test = three_event_records(seed=3), three_event_records(seed=4)
+        clf = ConformalClassifier(model, nonconformity=measure).calibrate(calib)
+        measure = clf.nonconformity
+        calib_scores = measure(model.predict(calib.covariates).scores)
+        output = model.predict(test.covariates)
+        test_scores = measure(output.scores)
+        got = clf.p_values(output)
+        assert got.shape == (len(test), 3)
+        for k in range(3):
+            positive = calib.labels[:, k] > 0
+            want = conformal_p_values(test_scores[:, k], calib_scores[positive, k])
+            assert np.array_equal(got[:, k], want)
+
+    def test_quantiles_memo_is_invalidated_by_calibrate(self, trained):
+        model, calib, test = trained
+        reg = ConformalRegressor(model).calibrate(calib)
+        before = reg.quantiles(0.9)
+        reg.calibrate(test)
+        fresh = ConformalRegressor(model).calibrate(test).quantiles(0.9)
+        np.testing.assert_array_equal(reg.quantiles(0.9), fresh)
+        assert not np.array_equal(before, fresh)  # the fixture can tell
+
+    def test_quantiles_returns_a_copy(self, trained):
+        model, calib, _ = trained
+        reg = ConformalRegressor(model).calibrate(calib)
+        first = reg.quantiles(0.9)
+        want = first.copy()
+        first[:] = -1.0
+        np.testing.assert_array_equal(reg.quantiles(0.9), want)
+        reg.quantiles(0.9)[:] = 99.0
+        np.testing.assert_array_equal(reg.quantiles(0.9), want)
+
+    def test_quantiles_equal_residual_quantile_per_alpha(self, trained):
+        model, calib, _ = trained
+        reg = ConformalRegressor(model).calibrate(calib)
+        starts, ends = extract_intervals(
+            model.predict(calib.covariates).frame_scores, reg.tau2
+        )
+        positive = calib.labels[:, 0] > 0
+        start_res = np.abs(starts[positive, 0] - calib.starts[positive, 0])
+        end_res = np.abs(ends[positive, 0] - calib.ends[positive, 0])
+        for alpha in (0.3, 0.9, 0.3, 1.0):
+            q = reg.quantiles(alpha)
+            assert q[0, 0] == residual_quantile(start_res, alpha)
+            assert q[0, 1] == residual_quantile(end_res, alpha)
+
+    def test_predict_equals_widen_of_thresholded_batch(self, trained):
+        model, calib, test = trained
+        reg = ConformalRegressor(model).calibrate(calib)
+        output = model.predict(test.covariates)
+        exists = output.scores >= 0.5
+        starts, ends = extract_intervals(output.frame_scores, reg.tau2)
+        raw = PredictionBatch(
+            exists=exists,
+            starts=np.where(exists, starts, 0),
+            ends=np.where(exists, ends, 0),
+            horizon=output.horizon,
+        )
+        want = reg.widen(raw, 0.9)
+        got = reg.predict(output, exists, 0.9)
+        for field in ("exists", "starts", "ends"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert got.exists is not exists

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import BatchedInference, EventHit, EventHitConfig, rowstable_matmul
 from repro.core.batched import _relu, _sigmoid
+from repro.nn.layers import Tanh
 
 CONFIG = EventHitConfig(
     window_size=12,
@@ -121,3 +122,9 @@ class TestValidation:
         engine = BatchedInference(make_model("lstm"))
         with pytest.raises(ValueError):
             engine.predict(np.zeros((0, CONFIG.window_size, NUM_FEATURES)))
+
+    def test_rejects_head_not_ending_in_linear_sigmoid(self):
+        model = make_model("lstm")
+        model.head1.net._layers[-1] = Tanh()
+        with pytest.raises(TypeError, match="Linear -> Sigmoid"):
+            BatchedInference(model).predict(make_batch(2))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     EventHitOutput,
@@ -139,3 +141,49 @@ class TestThresholdPredictions:
         batch = threshold_predictions(EventHitOutput(scores, frames))
         assert batch.exists[0, 0]
         assert (batch.starts[0, 0], batch.ends[0, 0]) == (1, 4)
+
+
+def where_min_max_intervals(frame_scores, tau2):
+    """The five-pass where/min/max extraction, kept as the oracle for
+    :func:`extract_intervals`'s argmax passes."""
+    above = frame_scores >= tau2
+    any_above = above.any(axis=2)
+    horizon = frame_scores.shape[2]
+    offsets = np.arange(1, horizon + 1)
+    first = np.where(above, offsets[None, None, :], horizon + 1).min(axis=2)
+    last = np.where(above, offsets[None, None, :], 0).max(axis=2)
+    peak = frame_scores.argmax(axis=2) + 1
+    starts = np.where(any_above, first, peak)
+    ends = np.where(any_above, last, peak)
+    return starts.astype(int), ends.astype(int)
+
+
+class TestExtractIntervalsOracle:
+    @given(
+        batch=st.integers(1, 6),
+        events=st.integers(1, 4),
+        horizon=st.integers(1, 40),
+        tau2=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_where_min_max_oracle(self, batch, events, horizon, tau2, seed):
+        rng = np.random.default_rng(seed)
+        # Quarter steps: ties with each other and with τ2 are common.
+        scores = rng.integers(0, 5, size=(batch, events, horizon)) / 4.0
+        rows = rng.random((batch, events))
+        scores[rows < 0.2] = -0.5  # all below τ2 (argmax fallback, ties)
+        scores[(rows >= 0.2) & (rows < 0.3)] = np.nan  # NaN rows
+        partial = (rows >= 0.3) & (rows < 0.4)
+        scores[partial, rng.integers(0, horizon)] = np.nan  # one NaN offset
+        got = extract_intervals(scores, tau2)
+        want = where_min_max_intervals(scores, tau2)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    def test_fallback_rows_next_to_above_rows(self):
+        scores = np.array([[[0.1, 0.3, 0.3, 0.2]], [[0.1, 0.6, 0.2, 0.7]]])
+        starts, ends = extract_intervals(scores, tau2=0.5)
+        np.testing.assert_array_equal(starts, [[2], [2]])
+        np.testing.assert_array_equal(ends, [[2], [4]])

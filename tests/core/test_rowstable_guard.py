@@ -9,24 +9,29 @@ numpy/BLAS upgrade (or a well-meaning "switch to ``@``" refactor)
 silently changing that: it drives random shapes through the primitive
 and pins the contract bitwise.
 
-How the primitive keeps it: each row is lifted to a ``(1, I)`` matrix, so
-``np.matmul`` issues one vector-matrix BLAS call per row (GEMV; DOT for a
-one-column output; numpy's own loop for a one-element contraction).  Which
-kernel runs — and so the order its SIMD lanes sum in — is a function of
-the weight's shape and the row's layout, never of the batch.  A plain
-``x @ w`` over the whole batch is one GEMM whose blocking changes with the
-row count, which is exactly what the bitwise pins below would catch.
+How the primitive keeps it: the rows are cut into fixed
+``(TILE_ROWS, I)`` tiles (the last one zero-padded), and ``np.matmul``
+over the stack of tiles issues one BLAS GEMM per tile.  Every call for a
+given weight has the same ``(TILE_ROWS, I) @ (I, O)`` shape, so the
+kernel — and the order its SIMD lanes sum in — is fixed by the weight
+alone.  What still varies is a row's slot inside its tile; the slot pins
+below check that the kernels sum every slot alike, and the subprocess
+pins repeat that under other OpenBLAS kernel families
+(``OPENBLAS_CORETYPE``) and one BLAS thread.  A plain ``x @ w`` over the
+whole batch is one GEMM whose blocking changes with the row count, which
+is exactly what the bitwise pins below would catch.
 
 A note on the reference loop: a BLAS kernel's *internal* reduction order
 is SIMD-blocked, not the textbook sequential sum.  The naive loop
 therefore anchors *values* within the rounding-error bound of two
 summation orders, while the bitwise pins anchor the part the repo
 actually relies on: whatever order the kernel picks is the same for a
-row alone, in any batch, at any memory offset, and under any BLAS
-thread count.
+row alone, in any batch, at any tile slot, at any memory offset, and
+under any BLAS thread count or kernel family.
 """
 
 import os
+import platform
 import subprocess
 import sys
 
@@ -37,6 +42,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import rowstable_matmul
+from repro.core.batched import TILE_ROWS
 
 
 def fixed_order_loop(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -190,8 +196,8 @@ class TestRowstableGuard:
     @pytest.mark.parametrize(
         "rows,contract,cols",
         [
-            (5, 1, 9),  # contraction length 1: numpy's own loop
-            (5, 9, 1),  # output width 1: one DOT per row
+            (5, 1, 9),  # contraction length 1
+            (5, 9, 1),  # output width 1
             (1, 9, 7),  # B = 1: the sequential marshaller's single lane
             (1, 1, 1),
         ],
@@ -209,11 +215,9 @@ class TestRowstableGuard:
         assert np.array_equal(rowstable_matmul(x[0], w), full[0])
 
     def test_wide_head_layer_above_blas_threading_threshold(self):
-        # The (32, 32) @ (32, 501) head layer: 32 * 501 is above OpenBLAS's
-        # default single-thread GEMV cutoff (m * n < 2304 * 4), so each
-        # per-row call may run threaded.  Rows must still be
-        # batch-invariant, and the bits must not depend on the thread
-        # count: a one-thread subprocess must reproduce them exactly.
+        # The (32, 32) @ (32, 501) head layer, the widest the engines run.
+        # Rows must be batch-invariant, and the bits must not depend on the
+        # BLAS thread count: a one-thread subprocess must reproduce them.
         rng = np.random.default_rng(501)
         x = rng.normal(size=(32, 32))
         w = rng.normal(size=(32, 501))
@@ -221,23 +225,135 @@ class TestRowstableGuard:
         for r in (0, 7, 31):
             assert np.array_equal(full[r], rowstable_matmul(x[r : r + 1].copy(), w)[0])
         assert np.array_equal(full[:5], rowstable_matmul(x[:5], w))
-        script = (
-            "import sys, numpy as np\n"
-            "from repro.core import rowstable_matmul\n"
-            "rng = np.random.default_rng(501)\n"
-            "x = rng.normal(size=(32, 32)); w = rng.normal(size=(32, 501))\n"
-            "sys.stdout.write(rowstable_matmul(x, w).tobytes().hex())\n"
+        one_thread = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        assert _subprocess_bytes(one_thread) == full.tobytes().hex()
+
+
+def _subprocess_bytes(
+    env_overrides, rows=32, contract=32, cols=501, solo=False
+) -> str:
+    """Hex bytes of ``rowstable_matmul`` on :func:`_seeded` inputs, computed
+    in a fresh interpreter with ``env_overrides`` set before numpy loads
+    (BLAS reads its thread count and kernel family at load time).  With
+    ``solo`` every row is computed alone and the rows are concatenated."""
+    product = (
+        "np.concatenate([rowstable_matmul(r[None], w) for r in x])"
+        if solo
+        else "rowstable_matmul(x, w)"
+    )
+    script = (
+        "import sys, numpy as np\n"
+        "from repro.core import rowstable_matmul\n"
+        "rng = np.random.default_rng(501)\n"
+        f"x = rng.normal(size=({rows}, {contract}))\n"
+        f"w = rng.normal(size=({contract}, {cols}))\n"
+        f"sys.stdout.write({product}.tobytes().hex())\n"
+    )
+    path = [os.path.dirname(os.path.dirname(repro.__file__))]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env_overrides)
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+
+
+def _seeded(rows, contract, cols):
+    rng = np.random.default_rng(501)
+    return rng.normal(size=(rows, contract)), rng.normal(size=(contract, cols))
+
+
+#: (I, O) of every affine map the engines run on the e2e workloads: the
+#: LSTM input and recurrent projections (16, 12 and 6 input channels into
+#: 4H = 64), the shared layer (28 and 22 into 32: hidden + last frame),
+#: and the 32 → H+1 head outputs (H = 500 and 200).
+SERVING_SHAPES = [(16, 64), (12, 64), (6, 64), (28, 32), (22, 32), (32, 501), (32, 201)]
+
+
+class TestTiles:
+    """The tile layout itself: slots, padding and the serving shapes."""
+
+    @given(
+        contract=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        slot=st.integers(0, TILE_ROWS - 1),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_is_bitwise_the_same_at_every_tile_slot(
+        self, contract, cols, slot, seed
+    ):
+        rng = np.random.default_rng(seed)
+        row = rng.normal(size=contract)
+        w = rng.normal(size=(contract, cols))
+        alone = rowstable_matmul(row[None], w)[0]
+        tile = rng.normal(size=(TILE_ROWS, contract))
+        tile[slot] = row
+        assert np.array_equal(rowstable_matmul(tile, w)[slot], alone)
+        # ...and in every slot of one full tile of copies.
+        copies = np.repeat(row[None], TILE_ROWS, axis=0)
+        for out in rowstable_matmul(copies, w):
+            assert np.array_equal(out, alone)
+
+    @pytest.mark.parametrize("tiles", [1, 2, 3])
+    @pytest.mark.parametrize("remainder", [0, 1, 3, TILE_ROWS - 1])
+    def test_padded_row_counts_match_single_rows(self, tiles, remainder):
+        rows = tiles * TILE_ROWS + remainder
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, 13))
+        w = rng.normal(size=(13, 29))
+        full = rowstable_matmul(x, w)
+        assert full.shape == (rows, 29)
+        for r in range(rows):
+            assert np.array_equal(full[r], rowstable_matmul(x[r : r + 1], w)[0])
+        # Every prefix pads differently; its rows may not move.
+        for take in range(1, rows):
+            assert np.array_equal(rowstable_matmul(x[:take], w), full[:take])
+
+    @pytest.mark.parametrize("contract,cols", SERVING_SHAPES)
+    def test_serving_shapes_are_row_stable(self, contract, cols):
+        rng = np.random.default_rng(contract * 1000 + cols)
+        x = rng.normal(size=(37, contract))
+        w = rng.normal(size=(contract, cols))
+        full = rowstable_matmul(x, w)
+        for r in range(37):
+            assert np.array_equal(full[r], rowstable_matmul(x[r], w))
+        for lanes in (1, 8, 16, 32):
+            assert np.array_equal(rowstable_matmul(x[:lanes], w), full[:lanes])
+
+    @pytest.mark.parametrize("contract,cols", [(16, 64), (6, 64)])
+    def test_time_major_projection_matches_per_step_calls(self, contract, cols):
+        # The LSTM forward projects a time-major (T, B, D) copy in one
+        # call and the continual step kernel projects one (B, D) frame at
+        # a time; both must give the same bits per (t, b).
+        rng = np.random.default_rng(cols)
+        x = rng.normal(size=(5, 25, contract))  # (B, T, D)
+        w = rng.normal(size=(contract, cols))
+        hoisted = rowstable_matmul(np.ascontiguousarray(x.transpose(1, 0, 2)), w)
+        for t in range(x.shape[1]):
+            assert np.array_equal(hoisted[t], rowstable_matmul(x[:, t, :], w))
+        assert np.array_equal(hoisted.transpose(1, 0, 2), rowstable_matmul(x, w))
+
+    @pytest.mark.skipif(
+        platform.machine().lower() not in ("x86_64", "amd64"),
+        reason="OPENBLAS_CORETYPE names x86 kernel families",
+    )
+    @pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+    @pytest.mark.parametrize("contract,cols", [(32, 501), (16, 64)])
+    def test_other_kernel_family_keeps_rows_stable(self, coretype, contract, cols):
+        # Another kernel family may sum in another order, so its bits are
+        # not compared to this process's.  What must hold inside it is the
+        # contract: 19 rows (two full tiles and a padded one) give each
+        # row's bits alone, and the values agree with this process's
+        # within the error bound of two summation orders.
+        env = {"OPENBLAS_CORETYPE": coretype}
+        batched = _subprocess_bytes(env, rows=19, contract=contract, cols=cols)
+        solo = _subprocess_bytes(env, rows=19, contract=contract, cols=cols, solo=True)
+        assert batched == solo
+        x, w = _seeded(19, contract, cols)
+        got = np.frombuffer(bytes.fromhex(batched)).reshape(19, cols)
+        u = np.finfo(np.float64).eps / 2
+        gamma = contract * u / (1 - contract * u)
+        assert np.all(
+            np.abs(got - rowstable_matmul(x, w)) <= 2 * gamma * (np.abs(x) @ np.abs(w))
         )
-        path = [os.path.dirname(os.path.dirname(repro.__file__))]
-        path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS="1",
-            OMP_NUM_THREADS="1",
-            PYTHONPATH=os.pathsep.join(path),
-        )
-        single = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True,
-            text=True, check=True,
-        ).stdout
-        assert single == full.tobytes().hex()

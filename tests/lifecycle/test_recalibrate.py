@@ -136,6 +136,32 @@ class TestRegistryless:
         assert marshaller.classifier is classifier
         assert classifier.model is model
 
+    def test_recalibration_invalidates_the_quantile_memo(self, setup):
+        spec, data, model, pipeline = setup
+        marshaller, controller = deploy(
+            setup, audit_rate=1.0, retrain_every_audits=4, min_records=4,
+            min_positives=1,
+        )
+        regressor = marshaller.regressor
+        alpha = marshaller.alpha
+        before = regressor.quantiles(alpha)  # memoized before serving
+        calibrated_on = []
+        calibrate = regressor.calibrate
+
+        def spy(records):
+            calibrated_on.append(records)
+            return calibrate(records)
+
+        regressor.calibrate = spy
+        run(marshaller, controller, data.test_stream, data.test_features,
+            max_horizons=12)
+        assert controller.recalibrations >= 1 and calibrated_on
+        fresh = ConformalRegressor(model).calibrate(calibrated_on[-1])
+        np.testing.assert_array_equal(
+            regressor.quantiles(alpha), fresh.quantiles(alpha)
+        )
+        assert not np.array_equal(before, fresh.quantiles(alpha))
+
 
 class TestStationary:
     def test_stationary_run_rarely_recalibrates(self, setup):
