@@ -236,17 +236,12 @@ def _shard_supervision(args: argparse.Namespace):
     crash as a run failure); otherwise the config is ``FAIL_FAST`` with
     ``--startup-timeout`` as its startup deadline.
     """
-    plan = None
-    if args.shard_fault_plan is not None:
-        with open(args.shard_fault_plan, "r", encoding="utf-8") as handle:
-            plan = ShardFaultPlan.from_json(handle.read())
-    elif args.shard_fault_rate > 0:
+    plan = _read_plan(args.shard_fault_plan, ShardFaultPlan, None)
+    if plan is None and args.shard_fault_rate > 0:
         plan = ShardFaultPlan.seeded(
             args.shards, rate=args.shard_fault_rate, seed=args.seed
         )
-    if args.shard_fault_plan_out is not None and plan is not None:
-        with open(args.shard_fault_plan_out, "w", encoding="utf-8") as handle:
-            handle.write(plan.to_json())
+    _write_plan(args.shard_fault_plan_out, plan)
     if not (args.supervise or plan is not None):
         return replace(FAIL_FAST, startup_deadline=args.startup_timeout), plan
     return SupervisorConfig(
@@ -679,16 +674,27 @@ def _parse_float_list(text: str) -> List[float]:
     return [float(item) for item in text.split(",") if item.strip()]
 
 
+def _read_plan(path: Optional[str], plan_cls, default):
+    """The fault plan stored as JSON at ``path``, or ``default`` when unset."""
+    if path is None:
+        return default
+    with open(path, "r", encoding="utf-8") as handle:
+        return plan_cls.from_json(handle.read())
+
+
+def _write_plan(path: Optional[str], plan) -> None:
+    """Write ``plan`` as JSON to ``path`` (a no-op when either is unset)."""
+    if path is not None and plan is not None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(plan.to_json() + "\n")
+
+
 def _run_ingest_chaos(args: argparse.Namespace, out) -> None:
     """Ingest-fault × guard-policy sweep over one task's deployment."""
-    if args.ingest_fault_plan is not None:
-        with open(args.ingest_fault_plan, "r", encoding="utf-8") as handle:
-            base_plan = IngestFaultPlan.from_json(handle.read())
-    else:
-        base_plan = IngestFaultPlan(seed=args.seed)
-    if args.ingest_fault_plan_out is not None:
-        with open(args.ingest_fault_plan_out, "w", encoding="utf-8") as handle:
-            handle.write(base_plan.to_json() + "\n")
+    base_plan = _read_plan(
+        args.ingest_fault_plan, IngestFaultPlan, IngestFaultPlan(seed=args.seed)
+    )
+    _write_plan(args.ingest_fault_plan_out, base_plan)
     rates = _parse_float_list(args.ingest_fault_rates)
     imputations = [item.strip() for item in args.imputation.split(",") if item.strip()]
     rows = ingest_chaos_experiment(
@@ -709,14 +715,8 @@ def _run_chaos(args: argparse.Namespace, out) -> None:
     if args.ingest:
         _run_ingest_chaos(args, out)
         return
-    if args.fault_plan is not None:
-        with open(args.fault_plan, "r", encoding="utf-8") as handle:
-            base_plan = FaultPlan.from_json(handle.read())
-    else:
-        base_plan = FaultPlan(seed=args.seed)
-    if args.fault_plan_out is not None:
-        with open(args.fault_plan_out, "w", encoding="utf-8") as handle:
-            handle.write(base_plan.to_json() + "\n")
+    base_plan = _read_plan(args.fault_plan, FaultPlan, FaultPlan(seed=args.seed))
+    _write_plan(args.fault_plan_out, base_plan)
     rates = _parse_float_list(args.fault_rates)
     policies = [
         RetryPolicy(max_attempts=int(value), seed=args.seed)
@@ -742,14 +742,12 @@ def _run_chaos(args: argparse.Namespace, out) -> None:
 
 def _run_lifecycle(args: argparse.Namespace, out) -> None:
     """Lifecycle fault sweep: retrain/publish/canary/swap under chaos."""
-    if args.lifecycle_fault_plan is not None:
-        with open(args.lifecycle_fault_plan, "r", encoding="utf-8") as handle:
-            base_plan = LifecycleFaultPlan.from_json(handle.read())
-    else:
-        base_plan = LifecycleFaultPlan(seed=args.seed)
-    if args.lifecycle_fault_plan_out is not None:
-        with open(args.lifecycle_fault_plan_out, "w", encoding="utf-8") as handle:
-            handle.write(base_plan.to_json() + "\n")
+    base_plan = _read_plan(
+        args.lifecycle_fault_plan,
+        LifecycleFaultPlan,
+        LifecycleFaultPlan(seed=args.seed),
+    )
+    _write_plan(args.lifecycle_fault_plan_out, base_plan)
     rows = lifecycle_chaos_experiment(
         args.task,
         fault_rates=_parse_float_list(args.lifecycle_fault_rates),
@@ -922,6 +920,10 @@ def _run_watch(args: argparse.Namespace, out) -> None:
     board = obs.set_slo_specs(specs)
 
     experiment = run_experiment(args.task, settings=_settings(args))
+    lanes = build_fleet_lanes(experiment, args.streams, seed=args.seed)
+    if args.shards > 1:
+        _run_watch_sharded(args, out, experiment, lanes)
+        return
     fleet = fleet_marshaller(
         experiment,
         confidence=args.confidence,
@@ -931,10 +933,6 @@ def _run_watch(args: argparse.Namespace, out) -> None:
         engine=args.engine,
         gate_delta=args.gate_delta,
     )
-    lanes = build_fleet_lanes(experiment, args.streams, seed=args.seed)
-    if args.shards > 1:
-        _run_watch_sharded(args, out, experiment, lanes)
-        return
     service = FleetCIService([lane.stream for lane in lanes])
     failure_policy = "raise"
     if args.fault_rate > 0:

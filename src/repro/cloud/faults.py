@@ -16,13 +16,13 @@ order, so the same seed + plan + call sequence reproduces the same faults.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..faults import FaultBooks, FaultPlanBase, draw_kind, even_rates
 from ..obs import inc, log_debug
 from ..video.events import EventType
 from ..video.stream import StreamSegment
@@ -89,13 +89,15 @@ class CIBreakerOpen(CIError):
 
 #: Fault kinds in the order the injector's single RNG draw resolves them.
 _FAULT_KINDS = ("timeout", "throttle", "transient", "partial", "latency_spike")
+#: The kinds that raise; ``uniform``/``with_failure_rate`` rescale these.
+_RAISING_KINDS = _FAULT_KINDS[:3]
 
 
 # ----------------------------------------------------------------------
 # Declarative plan
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(FaultPlanBase):
     """Declarative description of the faults one injector produces.
 
     Rates are per-call probabilities resolved from a single uniform draw,
@@ -104,6 +106,8 @@ class FaultPlan:
     ``[start, end)`` windows over the call index — hard downtime that
     fails deterministically without consuming an RNG draw.
     """
+
+    KINDS = _FAULT_KINDS
 
     timeout_rate: float = 0.0
     throttle_rate: float = 0.0
@@ -118,25 +122,14 @@ class FaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for kind in _FAULT_KINDS:
-            rate = getattr(self, f"{kind}_rate")
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{kind}_rate must be in [0, 1], got {rate}")
-        if self.total_rate > 1.0 + 1e-12:
-            raise ValueError("fault rates must sum to at most 1")
+        self._check_rates(one_draw="fault")
         if not 0.0 < self.partial_fraction <= 1.0:
             raise ValueError("partial_fraction must be in (0, 1]")
         if self.latency_spike_seconds < 0:
             raise ValueError("latency_spike_seconds must be non-negative")
         if self.retry_after_seconds < 0:
             raise ValueError("retry_after_seconds must be non-negative")
-        normalized = []
-        for window in self.outages:
-            start, end = int(window[0]), int(window[1])
-            if start < 0 or end <= start:
-                raise ValueError(f"invalid outage window [{start}, {end})")
-            normalized.append((start, end))
-        object.__setattr__(self, "outages", tuple(normalized))
+        self._normalize_windows("outages", "outage")
 
     # ------------------------------------------------------------------
     @property
@@ -144,79 +137,28 @@ class FaultPlan:
         """Probability a call *raises* (timeouts + throttles + transients)."""
         return self.timeout_rate + self.throttle_rate + self.transient_rate
 
-    @property
-    def total_rate(self) -> float:
-        """Probability a call is faulted in any way (including non-raising)."""
-        return self.failure_rate + self.partial_rate + self.latency_spike_rate
-
     @classmethod
     def uniform(cls, failure_rate: float, seed: int = 0, **overrides) -> "FaultPlan":
         """A plan spreading ``failure_rate`` evenly over the raising faults."""
-        if not 0.0 <= failure_rate <= 1.0:
-            raise ValueError("failure_rate must be in [0, 1]")
-        share = failure_rate / 3.0
         return cls(
-            timeout_rate=share,
-            throttle_rate=share,
-            transient_rate=share,
             seed=seed,
+            **even_rates(failure_rate, _RAISING_KINDS, "failure_rate"),
             **overrides,
         )
 
     def with_failure_rate(self, failure_rate: float) -> "FaultPlan":
         """This plan rescaled so its raising faults sum to ``failure_rate``."""
-        if not 0.0 <= failure_rate <= 1.0:
-            raise ValueError("failure_rate must be in [0, 1]")
-        current = self.failure_rate
-        if current <= 0.0:
-            share = failure_rate / 3.0
-            return replace(
-                self,
-                timeout_rate=share,
-                throttle_rate=share,
-                transient_rate=share,
-            )
-        scale = failure_rate / current
-        return replace(
-            self,
-            timeout_rate=self.timeout_rate * scale,
-            throttle_rate=self.throttle_rate * scale,
-            transient_rate=self.transient_rate * scale,
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        out = asdict(self)
-        out["outages"] = [list(window) for window in self.outages]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown FaultPlan fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "outages" in kwargs:
-            kwargs["outages"] = tuple(
-                tuple(window) for window in kwargs["outages"]
-            )
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
+        return self._rescaled(failure_rate, _RAISING_KINDS, "failure_rate")
 
 
 # ----------------------------------------------------------------------
 # Bookkeeping
 # ----------------------------------------------------------------------
 @dataclass
-class FaultStats:
+class FaultStats(FaultBooks):
     """Exact books of what one injector did."""
+
+    TOTAL = "failures"
 
     calls: int = 0
     faults: Dict[str, int] = field(default_factory=dict)
@@ -229,18 +171,10 @@ class FaultStats:
     latency_spikes: int = 0
     spike_seconds: float = 0.0
 
-    def record_fault(self, kind: str) -> None:
-        self.faults[kind] = self.faults.get(kind, 0) + 1
-
     @property
     def failures(self) -> int:
         """Calls that raised (outages included)."""
         return self.billed_failures + self.unbilled_failures
-
-    def as_dict(self) -> Dict[str, object]:
-        out = asdict(self)
-        out["failures"] = self.failures
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +193,7 @@ class FaultInjector:
         self.service = service
         self.plan = plan
         self.stats = FaultStats()
+        self._rates = plan.rates()
         self._rng = np.random.default_rng(plan.seed)
         self._call_index = 0
         self._spike_seconds = 0.0
@@ -329,14 +264,7 @@ class FaultInjector:
                     ),
                 )
 
-        draw = float(self._rng.random())
-        threshold = 0.0
-        kind: Optional[str] = None
-        for candidate in _FAULT_KINDS:
-            threshold += getattr(self.plan, f"{candidate}_rate")
-            if draw < threshold:
-                kind = candidate
-                break
+        kind = draw_kind(float(self._rng.random()), _FAULT_KINDS, self._rates)
 
         if kind == "timeout":
             billed = self.plan.bill_on_timeout

@@ -31,14 +31,14 @@ seeded RNG, mirroring :meth:`repro.cloud.faults.FaultPlan.uniform`.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
-from dataclasses import asdict, dataclass, fields
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..faults import FaultPlanBase, check_rate
 from ..obs import inc, log_warning
 
 __all__ = [
@@ -72,7 +72,7 @@ _TICK_KINDS = ("crash", "sigkill", "stall")
 
 
 @dataclass(frozen=True)
-class ShardFault:
+class ShardFault(FaultPlanBase):
     """One scheduled process-level fault.
 
     ``tick`` is the worker-global tick count at which an in-run fault
@@ -101,20 +101,9 @@ class ShardFault:
         if self.factor < 2:
             raise ValueError("factor must be >= 2")
 
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ShardFault":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ShardFault fields: {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ShardFaultPlan:
+class ShardFaultPlan(FaultPlanBase):
     """Declarative schedule of process-level faults for one sharded run.
 
     At most one fault may be scheduled per ``(shard, attempt)`` pair —
@@ -127,7 +116,7 @@ class ShardFaultPlan:
 
     def __post_init__(self) -> None:
         normalized = tuple(
-            fault if isinstance(fault, ShardFault) else ShardFault(**fault)
+            fault if isinstance(fault, ShardFault) else ShardFault.from_dict(fault)
             for fault in self.faults
         )
         seen = set()
@@ -173,8 +162,7 @@ class ShardFaultPlan:
         """
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
+        check_rate("rate", rate)
         if max_tick < 1:
             raise ValueError("max_tick must be >= 1")
         kinds = tuple(kinds)
@@ -192,35 +180,6 @@ class ShardFaultPlan:
             if draw < rate:
                 faults.append(ShardFault(shard=shard, kind=kind, tick=tick))
         return cls(faults=tuple(faults), seed=seed)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "faults": [fault.to_dict() for fault in self.faults],
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ShardFaultPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown ShardFaultPlan fields: {sorted(unknown)}"
-            )
-        kwargs = dict(data)
-        if "faults" in kwargs:
-            kwargs["faults"] = tuple(
-                ShardFault.from_dict(fault) for fault in kwargs["faults"]
-            )
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShardFaultPlan":
-        return cls.from_dict(json.loads(text))
 
 
 class ShardFaultInjector:

@@ -37,12 +37,12 @@ the ``chaos --ingest-fault-plan`` CLI flag.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..faults import FaultBooks, FaultPlanBase, draw_kind, even_rates
 from ..features.extractors import FeatureMatrix
 from ..obs import inc, log_debug, span
 
@@ -61,7 +61,7 @@ INGEST_FAULT_KINDS = ("drop", "flap", "corrupt", "noise", "late")
 # Declarative plan
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class IngestFaultPlan:
+class IngestFaultPlan(FaultPlanBase):
     """Declarative description of the ingest faults one injector produces.
 
     Rates are per-frame probabilities resolved from a single uniform
@@ -70,6 +70,8 @@ class IngestFaultPlan:
     ``[start, end)`` freeze windows over the frame index — the frames
     inside repeat the last pre-window frame and consume no RNG draw.
     """
+
+    KINDS = INGEST_FAULT_KINDS
 
     drop_rate: float = 0.0
     flap_rate: float = 0.0
@@ -82,30 +84,14 @@ class IngestFaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for kind in INGEST_FAULT_KINDS:
-            rate = getattr(self, f"{kind}_rate")
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{kind}_rate must be in [0, 1], got {rate}")
-        if self.total_rate > 1.0 + 1e-12:
-            raise ValueError("ingest fault rates must sum to at most 1")
+        self._check_rates(one_draw="ingest fault")
         if self.corrupt_dims < 1:
             raise ValueError("corrupt_dims must be >= 1")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
-        normalized = []
-        for window in self.stalls:
-            start, end = int(window[0]), int(window[1])
-            if start < 0 or end <= start:
-                raise ValueError(f"invalid stall window [{start}, {end})")
-            normalized.append((start, end))
-        object.__setattr__(self, "stalls", tuple(normalized))
+        self._normalize_windows("stalls", "stall")
 
     # ------------------------------------------------------------------
-    @property
-    def total_rate(self) -> float:
-        """Probability a frame is faulted by the per-frame draw."""
-        return sum(getattr(self, f"{kind}_rate") for kind in INGEST_FAULT_KINDS)
-
     @property
     def is_empty(self) -> bool:
         """True when the plan injects nothing at all."""
@@ -116,63 +102,23 @@ class IngestFaultPlan:
         cls, fault_rate: float, seed: int = 0, **overrides
     ) -> "IngestFaultPlan":
         """A plan spreading ``fault_rate`` evenly over the random kinds."""
-        if not 0.0 <= fault_rate <= 1.0:
-            raise ValueError("fault_rate must be in [0, 1]")
-        share = fault_rate / len(INGEST_FAULT_KINDS)
-        rates = {f"{kind}_rate": share for kind in INGEST_FAULT_KINDS}
+        rates = even_rates(fault_rate, INGEST_FAULT_KINDS, "fault_rate")
         rates.update(overrides)
         return cls(seed=seed, **rates)
 
     def with_fault_rate(self, fault_rate: float) -> "IngestFaultPlan":
         """This plan rescaled so its random kinds sum to ``fault_rate``."""
-        if not 0.0 <= fault_rate <= 1.0:
-            raise ValueError("fault_rate must be in [0, 1]")
-        current = self.total_rate
-        if current <= 0.0:
-            share = fault_rate / len(INGEST_FAULT_KINDS)
-            return replace(
-                self, **{f"{kind}_rate": share for kind in INGEST_FAULT_KINDS}
-            )
-        scale = fault_rate / current
-        return replace(
-            self,
-            **{
-                f"{kind}_rate": getattr(self, f"{kind}_rate") * scale
-                for kind in INGEST_FAULT_KINDS
-            },
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        out = asdict(self)
-        out["stalls"] = [list(window) for window in self.stalls]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "IngestFaultPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown IngestFaultPlan fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "stalls" in kwargs:
-            kwargs["stalls"] = tuple(tuple(window) for window in kwargs["stalls"])
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "IngestFaultPlan":
-        return cls.from_dict(json.loads(text))
+        return self._rescaled(fault_rate, INGEST_FAULT_KINDS, "fault_rate")
 
 
 # ----------------------------------------------------------------------
 # Bookkeeping
 # ----------------------------------------------------------------------
 @dataclass
-class IngestFaultStats:
+class IngestFaultStats(FaultBooks):
     """Exact books of what one injector did to one feature matrix."""
+
+    TOTAL = "frames_faulted"
 
     frames: int = 0
     faults: Dict[str, int] = field(default_factory=dict)
@@ -184,18 +130,10 @@ class IngestFaultStats:
     frames_late: int = 0
     frames_stalled: int = 0
 
-    def record_fault(self, kind: str) -> None:
-        self.faults[kind] = self.faults.get(kind, 0) + 1
-
     @property
     def frames_faulted(self) -> int:
         """Frames touched by any fault (stalls included)."""
         return sum(self.faults.values())
-
-    def as_dict(self) -> Dict[str, object]:
-        out = asdict(self)
-        out["frames_faulted"] = self.frames_faulted
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -260,17 +198,11 @@ class IngestFaultInjector:
                 self.stats.frames_stalled += stop - start
 
             rng = self._rng
+            rates = plan.rates()
             for frame in range(num_frames):
                 if self.frame_kinds[frame] == "stall":
                     continue  # frozen frames consume no RNG draw
-                draw = float(rng.random())
-                threshold = 0.0
-                kind = None
-                for candidate in INGEST_FAULT_KINDS:
-                    threshold += getattr(plan, f"{candidate}_rate")
-                    if draw < threshold:
-                        kind = candidate
-                        break
+                kind = draw_kind(float(rng.random()), INGEST_FAULT_KINDS, rates)
                 if kind is None:
                     continue
 

@@ -15,13 +15,13 @@ call sequence reproduces the same faults (pinned in ``tests/lifecycle``).
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
 
+from ..faults import FaultBooks, FaultPlanBase, even_rates
 from ..obs import inc, log_debug
 
 __all__ = [
@@ -53,13 +53,15 @@ class RetrainError(LifecycleError):
 
 
 @dataclass(frozen=True)
-class LifecycleFaultPlan:
+class LifecycleFaultPlan(FaultPlanBase):
     """Declarative description of the lifecycle faults one injector fires.
 
     Unlike the CI plan, each rate guards its *own* hook (a publish either
     tears or it doesn't; a retrain either dies or it doesn't), so the
     rates are independent probabilities rather than shares of one draw.
     """
+
+    KINDS = LIFECYCLE_FAULT_KINDS
 
     torn_write_rate: float = 0.0
     manifest_corruption_rate: float = 0.0
@@ -71,24 +73,11 @@ class LifecycleFaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for kind in LIFECYCLE_FAULT_KINDS:
-            rate = getattr(self, f"{kind}_rate")
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{kind}_rate must be in [0, 1], got {rate}")
+        self._check_rates()
         if not 0.0 < self.torn_fraction < 1.0:
             raise ValueError("torn_fraction must be in (0, 1)")
 
     # ------------------------------------------------------------------
-    @property
-    def total_rate(self) -> float:
-        """Sum of all hook rates (the sweep axis of the chaos harness)."""
-        return (
-            self.torn_write_rate
-            + self.manifest_corruption_rate
-            + self.retrain_failure_rate
-            + self.canary_flake_rate
-        )
-
     @property
     def is_empty(self) -> bool:
         return self.total_rate == 0.0
@@ -98,59 +87,22 @@ class LifecycleFaultPlan:
         cls, total_rate: float, seed: int = 0, **overrides
     ) -> "LifecycleFaultPlan":
         """A plan spreading ``total_rate`` evenly over the four hooks."""
-        if not 0.0 <= total_rate <= 4.0:
-            raise ValueError("total_rate must be in [0, 4]")
-        share = total_rate / len(LIFECYCLE_FAULT_KINDS)
         return cls(
-            torn_write_rate=share,
-            manifest_corruption_rate=share,
-            retrain_failure_rate=share,
-            canary_flake_rate=share,
             seed=seed,
+            **even_rates(total_rate, LIFECYCLE_FAULT_KINDS, "total_rate", 4),
             **overrides,
         )
 
     def with_total_rate(self, total_rate: float) -> "LifecycleFaultPlan":
         """This plan rescaled so its hook rates sum to ``total_rate``."""
-        current = self.total_rate
-        if current <= 0.0:
-            return LifecycleFaultPlan.uniform(
-                total_rate, seed=self.seed, torn_fraction=self.torn_fraction
-            )
-        scale = total_rate / current
-        out = {
-            f"{kind}_rate": getattr(self, f"{kind}_rate") * scale
-            for kind in LIFECYCLE_FAULT_KINDS
-        }
-        return LifecycleFaultPlan(
-            torn_fraction=self.torn_fraction, seed=self.seed, **out
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LifecycleFaultPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown LifecycleFaultPlan fields: {sorted(unknown)}"
-            )
-        return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LifecycleFaultPlan":
-        return cls.from_dict(json.loads(text))
+        return self._rescaled(total_rate, LIFECYCLE_FAULT_KINDS, "total_rate", 4)
 
 
 @dataclass
-class LifecycleFaultStats:
+class LifecycleFaultStats(FaultBooks):
     """Exact books of what one injector did."""
+
+    TOTAL = "total"
 
     draws: int = 0
     faults: Dict[str, int] = field(default_factory=dict)
@@ -159,17 +111,9 @@ class LifecycleFaultStats:
     retrain_failures: int = 0
     canary_flakes: int = 0
 
-    def record_fault(self, kind: str) -> None:
-        self.faults[kind] = self.faults.get(kind, 0) + 1
-
     @property
     def total(self) -> int:
         return sum(self.faults.values())
-
-    def as_dict(self) -> Dict[str, object]:
-        out = asdict(self)
-        out["total"] = self.total
-        return out
 
 
 class LifecycleFaultInjector:

@@ -570,7 +570,7 @@ def test_binary_write_rules_exempt_the_atomic_writers(tmp_path):
 
 # ----------------------------------------------------------------------
 # Serving loop: no private calls across objects in fleet/, cloud/,
-# lifecycle/ and drift/
+# lifecycle/, drift/, ingest/ and the shared fault-plan base
 # ----------------------------------------------------------------------
 # The horizon loop has one owner, FleetMarshaller.  A serving-side module
 # that calls ``other._helper(...)`` on another object is how a second
@@ -579,7 +579,8 @@ def test_binary_write_rules_exempt_the_atomic_writers(tmp_path):
 # and dunder calls (``super().__init__``, ``object.__setattr__``) are
 # fine; everything else goes through a public method.
 
-PRIVATE_CALL_SUBDIRS = ("fleet", "cloud", "lifecycle", "drift")
+PRIVATE_CALL_SUBDIRS = ("fleet", "cloud", "lifecycle", "drift", "ingest")
+PRIVATE_CALL_FILES = ("faults.py",)
 
 
 def scan_private_calls(path, root=None):
@@ -617,6 +618,8 @@ def test_fleet_and_cloud_make_no_private_calls_across_objects():
     for sub in PRIVATE_CALL_SUBDIRS:
         for path in sorted((SRC_ROOT / sub).rglob("*.py")):
             violations.extend(scan_private_calls(path))
+    for name in PRIVATE_CALL_FILES:
+        violations.extend(scan_private_calls(SRC_ROOT / name))
     assert not violations, "\n".join(violations)
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from repro import obs
 from repro.cli import build_parser, main
+from repro.fleet.shard_faults import ShardFaultPlan
+from repro.lifecycle import LifecycleFaultPlan
 
 
 def run_cli(argv):
@@ -195,6 +197,47 @@ class TestChaosCommand:
         )
         assert code == 0
         assert "fault_rate" in text
+
+    @pytest.mark.chaos
+    def test_lifecycle_fault_plan_round_trip(self, tmp_path):
+        plan_path = tmp_path / "lifecycle_plan.json"
+        argv = ["lifecycle", "--task", "TA10", "--max-horizons", "2",
+                "--scale", "0.05", "--epochs", "2", "--records", "120"]
+        code, _ = run_cli(
+            argv + ["--lifecycle-fault-rates", "0", "--seed", "17",
+                    "--lifecycle-fault-plan-out", str(plan_path)]
+        )
+        assert code == 0
+        written = plan_path.read_text()
+        assert written.endswith("}\n")
+        assert LifecycleFaultPlan.from_json(written) == LifecycleFaultPlan(seed=17)
+        code, text = run_cli(
+            argv + ["--lifecycle-fault-rates", "1",
+                    "--lifecycle-fault-plan", str(plan_path)]
+        )
+        assert code == 0
+        assert "fault_rate" in text and "retrain_failures" in text
+
+    @pytest.mark.chaos
+    def test_shard_fault_plan_round_trip(self, tmp_path):
+        plan_path = tmp_path / "shard_plan.json"
+        argv = ["fleet", "--task", "TA10", "--shards", "2", "--streams", "2",
+                "--max-horizons", "2", "--seed", "0",
+                "--scale", "0.05", "--epochs", "2", "--records", "120"]
+        code, text = run_cli(
+            argv + ["--shard-fault-rate", "0.5",
+                    "--shard-fault-plan-out", str(plan_path)]
+        )
+        assert code == 0
+        written = plan_path.read_text()
+        assert written.endswith("}\n")
+        plan = ShardFaultPlan.from_json(written)
+        assert plan == ShardFaultPlan.seeded(2, rate=0.5, seed=0)
+        assert plan.faults  # seed 0 crashes shard 1 at its first tick
+        assert "restarts: [0, 1]" in text
+        code, text = run_cli(argv + ["--shard-fault-plan", str(plan_path)])
+        assert code == 0
+        assert "restarts: [0, 1]" in text
 
 
 class TestFleetCommand:
