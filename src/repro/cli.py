@@ -39,22 +39,18 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import List, Optional, Sequence
 
 from . import obs
 from .core import ENGINES
-from .cloud import (
-    BreakerConfig,
-    FaultInjector,
-    FaultPlan,
-    ResilientCIClient,
-    RetryPolicy,
-)
+from .cloud import BreakerConfig, FaultPlan, RetryPolicy
 from .fleet import (
     FAIL_FAST,
     PARTITIONS,
     SCHEDULERS,
-    FleetCIService,
+    ChaosServiceFactory,
+    PlainServiceFactory,
     ShardFaultPlan,
     SupervisorConfig,
 )
@@ -252,6 +248,88 @@ def _shard_supervision(args: argparse.Namespace):
         escalation=args.escalation,
         checkpoint_every=args.checkpoint_every,
     ), plan
+
+
+def _build_fleet_run(
+    args: argparse.Namespace,
+    experiment,
+    lanes,
+    fault_rate: float = 0.0,
+    heartbeat_every: int = 1,
+):
+    """The one fleet run behind ``fleet`` and ``watch``, built from flags.
+
+    Returns ``(run, supervisor, shard_plan)``; ``run(**hooks)`` serves
+    ``lanes`` once and returns the report.  With ``--shards`` > 1 it is a
+    :func:`sharded_fleet_marshaller` run (each shard builds its own CI
+    stack); otherwise a :func:`fleet_marshaller` run over the stack the
+    same factory choice builds for shard 0, and ``supervisor`` and
+    ``shard_plan`` are ``None``.  A faulty run follows
+    ``--failure-policy``; a fault-free one raises.
+    """
+    engine = dict(
+        confidence=args.confidence,
+        alpha=args.alpha,
+        scheduler=args.scheduler,
+        tick_budget_frames=args.budget_frames,
+        engine=args.engine,
+        gate_delta=args.gate_delta,
+    )
+    supervisor = shard_plan = None
+    if args.shards > 1:
+        supervisor, shard_plan = _shard_supervision(args)
+        sharded = sharded_fleet_marshaller(
+            experiment,
+            args.shards,
+            partition=args.partition,
+            fault_rate=fault_rate,
+            seed=args.seed,
+            start_method=args.start_method,
+            heartbeat_every=heartbeat_every,
+            supervisor=supervisor,
+            shard_fault_plan=shard_plan,
+            **engine,
+        )
+        serve = partial(sharded.run, lanes)
+    else:
+        factory = (
+            ChaosServiceFactory(fault_rate, args.seed)
+            if fault_rate > 0
+            else PlainServiceFactory()
+        )
+        serve = partial(
+            fleet_marshaller(experiment, **engine).run,
+            lanes,
+            factory(0, [lane.stream for lane in lanes]),
+        )
+    run = partial(
+        serve,
+        max_horizons=args.max_horizons,
+        failure_policy=args.failure_policy if fault_rate > 0 else "raise",
+    )
+    return run, supervisor, shard_plan
+
+
+def _flush_out(out) -> None:
+    flush = getattr(out, "flush", None)
+    if flush is not None:
+        flush()
+
+
+def _print_flight_dumps(recorder, out) -> None:
+    """List the flight-recorder dumps, tagging each shard worker's."""
+    if not recorder.dumps:
+        return
+    print(file=out)
+    print(f"== flight-recorder dumps ({len(recorder.dumps)}) ==", file=out)
+    for dump in recorder.dumps:
+        shard = dump.get("shard")
+        print(
+            f"tick {dump['tick']}: {dump['reason']}"
+            + (f" (lane {dump['lane']})" if dump.get("lane") else "")
+            + (f" [shard {shard}]" if shard is not None else ""),
+            file=out,
+        )
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -799,35 +877,8 @@ def _run_fleet(args: argparse.Namespace, out) -> None:
         print(format_table(rows), file=out)
         return
     lanes = build_fleet_lanes(experiment, args.streams, seed=args.seed)
-    if args.shards > 1:
-        supervisor, shard_plan = _shard_supervision(args)
-        sharded = sharded_fleet_marshaller(
-            experiment,
-            args.shards,
-            confidence=args.confidence,
-            alpha=args.alpha,
-            scheduler=args.scheduler,
-            tick_budget_frames=args.budget_frames,
-            engine=args.engine,
-            gate_delta=args.gate_delta,
-            partition=args.partition,
-            start_method=args.start_method,
-            supervisor=supervisor,
-            shard_fault_plan=shard_plan,
-        )
-        report = sharded.run(lanes, max_horizons=args.max_horizons)
-    else:
-        fleet = fleet_marshaller(
-            experiment,
-            confidence=args.confidence,
-            alpha=args.alpha,
-            scheduler=args.scheduler,
-            tick_budget_frames=args.budget_frames,
-            engine=args.engine,
-            gate_delta=args.gate_delta,
-        )
-        service = FleetCIService([lane.stream for lane in lanes])
-        report = fleet.run(lanes, service, max_horizons=args.max_horizons)
+    run, supervisor, _ = _build_fleet_run(args, experiment, lanes)
+    report = run()
     rows = []
     for name, stream_report in report.per_stream.items():
         row = {"stream": name}
@@ -921,28 +972,15 @@ def _run_watch(args: argparse.Namespace, out) -> None:
 
     experiment = run_experiment(args.task, settings=_settings(args))
     lanes = build_fleet_lanes(experiment, args.streams, seed=args.seed)
-    if args.shards > 1:
-        _run_watch_sharded(args, out, experiment, lanes)
-        return
-    fleet = fleet_marshaller(
-        experiment,
-        confidence=args.confidence,
-        alpha=args.alpha,
-        scheduler=args.scheduler,
-        tick_budget_frames=args.budget_frames,
-        engine=args.engine,
-        gate_delta=args.gate_delta,
-    )
-    service = FleetCIService([lane.stream for lane in lanes])
-    failure_policy = "raise"
-    if args.fault_rate > 0:
-        plan = FaultPlan(seed=args.seed).with_failure_rate(args.fault_rate)
-        service = ResilientCIClient(
-            FaultInjector(service, plan), policy=RetryPolicy(seed=args.seed)
-        )
-        failure_policy = args.failure_policy
-
     refresh = max(1, args.refresh_ticks)
+    run, supervisor, shard_plan = _build_fleet_run(
+        args, experiment, lanes, fault_rate=args.fault_rate,
+        heartbeat_every=refresh,
+    )
+    if args.shards > 1:
+        _run_watch_sharded(args, out, run, supervisor, shard_plan)
+        return
+
     title = f"repro watch | {args.task} | {args.streams} streams"
 
     def redraw(tick: int) -> None:
@@ -960,17 +998,9 @@ def _run_watch(args: argparse.Namespace, out) -> None:
             out.write(frame + "\n\n")
         else:
             out.write("\x1b[2J\x1b[H" + frame + "\n")
-        flush = getattr(out, "flush", None)
-        if flush is not None:
-            flush()
+        _flush_out(out)
 
-    report = fleet.run(
-        lanes,
-        service,
-        max_horizons=args.max_horizons,
-        failure_policy=failure_policy,
-        on_tick=redraw,
-    )
+    report = run(on_tick=redraw)
 
     # Final still frame (covers refresh strides that skipped the last tick)
     # plus the run summary and the SLO alert timeline.
@@ -1006,25 +1036,16 @@ def _run_watch(args: argparse.Namespace, out) -> None:
         print(format_table(timeline), file=out)
     else:
         print("(no alerts)", file=out)
-    if recorder.dumps:
-        print(file=out)
-        print(
-            f"== flight-recorder dumps ({len(recorder.dumps)}) ==",
-            file=out,
-        )
-        for dump in recorder.dumps:
-            print(
-                f"tick {dump['tick']}: {dump['reason']}"
-                + (f" (lane {dump['lane']})" if dump.get("lane") else ""),
-                file=out,
-            )
+    _print_flight_dumps(recorder, out)
     if args.timeseries_out is not None:
         obs.write_timeseries_json(args.timeseries_out, store=store)
     if args.flight_out is not None:
         obs.write_flight_json(args.flight_out, recorder=recorder)
 
 
-def _run_watch_sharded(args: argparse.Namespace, out, experiment, lanes) -> None:
+def _run_watch_sharded(
+    args: argparse.Namespace, out, run, supervisor, shard_plan
+) -> None:
     """Sharded watch: heartbeat progress stream plus the merged post-run
     summary.
 
@@ -1035,25 +1056,6 @@ def _run_watch_sharded(args: argparse.Namespace, out, experiment, lanes) -> None
     run summary, shed/admission transitions, flight-recorder dumps —
     once every shard reports in.
     """
-    supervisor, shard_plan = _shard_supervision(args)
-    sharded = sharded_fleet_marshaller(
-        experiment,
-        args.shards,
-        confidence=args.confidence,
-        alpha=args.alpha,
-        scheduler=args.scheduler,
-        tick_budget_frames=args.budget_frames,
-        engine=args.engine,
-        gate_delta=args.gate_delta,
-        partition=args.partition,
-        fault_rate=args.fault_rate,
-        seed=args.seed,
-        start_method=args.start_method,
-        heartbeat_every=max(1, args.refresh_ticks),
-        supervisor=supervisor,
-        shard_fault_plan=shard_plan,
-    )
-    failure_policy = args.failure_policy if args.fault_rate > 0 else "raise"
     title = (
         f"repro watch | {args.task} | {args.streams} streams "
         f"| {args.shards} shards"
@@ -1068,14 +1070,9 @@ def _run_watch_sharded(args: argparse.Namespace, out, experiment, lanes) -> None
                 file=out,
             )
 
-    def _flush() -> None:
-        flush = getattr(out, "flush", None)
-        if flush is not None:
-            flush()
-
     def progress(shard: int, tick: int) -> None:
         print(f"[shard {shard}] tick {tick}", file=out)
-        _flush()
+        _flush_out(out)
 
     def liveness(shard: int, state: str, detail: str) -> None:
         print(
@@ -1083,15 +1080,9 @@ def _run_watch_sharded(args: argparse.Namespace, out, experiment, lanes) -> None
             + (f" ({detail})" if detail else ""),
             file=out,
         )
-        _flush()
+        _flush_out(out)
 
-    report = sharded.run(
-        lanes,
-        max_horizons=args.max_horizons,
-        failure_policy=failure_policy,
-        on_heartbeat=progress,
-        on_liveness=liveness,
-    )
+    report = run(on_heartbeat=progress, on_liveness=liveness)
 
     print(file=out)
     print("== run summary ==", file=out)
@@ -1119,20 +1110,7 @@ def _run_watch_sharded(args: argparse.Namespace, out, experiment, lanes) -> None
     )
     _print_supervision(report, supervisor, out)
     recorder = obs.get_flight_recorder()
-    if recorder.dumps:
-        print(file=out)
-        print(
-            f"== flight-recorder dumps ({len(recorder.dumps)}) ==",
-            file=out,
-        )
-        for dump in recorder.dumps:
-            shard = dump.get("shard")
-            print(
-                f"tick {dump['tick']}: {dump['reason']}"
-                + (f" (lane {dump['lane']})" if dump.get("lane") else "")
-                + (f" [shard {shard}]" if shard is not None else ""),
-                file=out,
-            )
+    _print_flight_dumps(recorder, out)
     if args.timeseries_out is not None:
         print(file=out)
         print(

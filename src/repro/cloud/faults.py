@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from ..faults import FaultBooks, FaultPlanBase, draw_kind, even_rates
 from ..obs import inc, log_debug
 from ..video.events import EventType
 from ..video.stream import StreamSegment
+from .service import ServiceWrapper
 
 __all__ = [
     "CIError",
@@ -180,7 +181,7 @@ class FaultStats(FaultBooks):
 # ----------------------------------------------------------------------
 # The injector
 # ----------------------------------------------------------------------
-class FaultInjector:
+class FaultInjector(ServiceWrapper):
     """Wrap a ``CloudInferenceService``-shaped object with seeded faults.
 
     The wrapper mirrors the service interface (``detect`` / ``detect_many``
@@ -190,7 +191,7 @@ class FaultInjector:
     """
 
     def __init__(self, service, plan: FaultPlan):
-        self.service = service
+        super().__init__(service)
         self.plan = plan
         self.stats = FaultStats()
         self._rates = plan.rates()
@@ -199,20 +200,6 @@ class FaultInjector:
         self._spike_seconds = 0.0
 
     # ------------------------------------------------------------------
-    # Service-shaped delegation
-    # ------------------------------------------------------------------
-    @property
-    def stream(self):
-        return self.service.stream
-
-    @property
-    def pricing(self):
-        return self.service.pricing
-
-    @property
-    def ledger(self):
-        return self.service.ledger
-
     @property
     def simulated_seconds(self) -> float:
         """Inner processing time plus injected latency spikes."""
@@ -225,14 +212,6 @@ class FaultInjector:
         self._rng = np.random.default_rng(self.plan.seed)
         self._call_index = 0
         self._spike_seconds = 0.0
-
-    def detect_many(
-        self, segments: Sequence[StreamSegment], event_type: EventType
-    ) -> List:
-        out: List = []
-        for segment in segments:
-            out.extend(self.detect(segment, event_type))
-        return out
 
     # ------------------------------------------------------------------
     def _raise(self, kind: str, exc: CIError) -> None:

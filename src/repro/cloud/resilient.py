@@ -18,7 +18,7 @@ failure semantics a live deployment needs:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from ..obs import inc, log_debug, log_info, set_gauge, span
 from ..video.events import EventType
 from ..video.stream import StreamSegment
 from .faults import CIBreakerOpen, CIError, CIThrottled
+from .service import ServiceWrapper
 
 __all__ = [
     "RetryPolicy",
@@ -234,7 +235,7 @@ class ResilienceStats:
         return asdict(self)
 
 
-class ResilientCIClient:
+class ResilientCIClient(ServiceWrapper):
     """Retry/backoff/breaker wrapper with the service's duck type.
 
     The client is itself ``CloudInferenceService``-shaped, so it can stand
@@ -250,7 +251,7 @@ class ResilientCIClient:
         policy: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerConfig] = None,
     ):
-        self.service = service
+        super().__init__(service)
         self.policy = policy or RetryPolicy()
         self.breaker = CircuitBreaker(breaker)
         self.stats = ResilienceStats()
@@ -259,20 +260,6 @@ class ResilientCIClient:
         self._budget_left = self.policy.retry_budget
 
     # ------------------------------------------------------------------
-    # Service-shaped delegation
-    # ------------------------------------------------------------------
-    @property
-    def stream(self):
-        return self.service.stream
-
-    @property
-    def pricing(self):
-        return self.service.pricing
-
-    @property
-    def ledger(self):
-        return self.service.ledger
-
     @property
     def simulated_seconds(self) -> float:
         """Inner simulated time plus backoff waits."""
@@ -305,14 +292,6 @@ class ResilientCIClient:
         self._rng = np.random.default_rng(self.policy.seed)
         self._waited = 0.0
         self._budget_left = self.policy.retry_budget
-
-    def detect_many(
-        self, segments: Sequence[StreamSegment], event_type: EventType
-    ) -> List:
-        out: List = []
-        for segment in segments:
-            out.extend(self.detect(segment, event_type))
-        return out
 
     # ------------------------------------------------------------------
     def detect(self, segment: StreamSegment, event_type: EventType) -> List:

@@ -11,16 +11,21 @@ and simulated processing time (via the timing model's CI rate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from ..obs import inc, observe, span
 from ..video.events import EventType
 from ..video.stream import StreamSegment, VideoStream
 from .pricing import FlatPricing, PricingModel
 
-__all__ = ["Detection", "UsageLedger", "CloudInferenceService", "merge_segments"]
+__all__ = [
+    "Detection",
+    "UsageLedger",
+    "CloudInferenceService",
+    "ServiceWrapper",
+    "ServiceStack",
+    "merge_segments",
+]
 
 
 def merge_segments(segments: Sequence[StreamSegment]) -> List[StreamSegment]:
@@ -216,3 +221,86 @@ class CloudInferenceService:
         for segment in merge_segments(segments):
             out.extend(self.detect(segment, event_type))
         return out
+
+
+class ServiceWrapper:
+    """Base of the objects that wrap a service and stand in for it.
+
+    The fault injector and the resilient client subclass it.  ``service``
+    is the wrapped object, kept as a plain writable attribute (so an
+    instrumenting proxy can be swapped in for it); ``stream``, ``pricing``
+    and ``ledger`` are the wrapped service's, and ``detect_many`` *is*
+    :meth:`CloudInferenceService.detect_many` (merge, then ``self.detect``
+    per merged segment), so a wrapper bills an overlapping batch exactly
+    like the bare service.  Subclasses define ``detect``, ``reset`` and
+    ``simulated_seconds``.
+    """
+
+    def __init__(self, service):
+        self.service = service
+
+    @property
+    def stream(self) -> VideoStream:
+        return self.service.stream
+
+    @property
+    def pricing(self) -> PricingModel:
+        return self.service.pricing
+
+    @property
+    def ledger(self) -> UsageLedger:
+        return self.service.ledger
+
+    detect_many = CloudInferenceService.detect_many
+
+
+@dataclass(frozen=True)
+class ServiceStack:
+    """A service wrapper stack, resolved by one walk of its ``.service`` links.
+
+    ``top`` is the object handed in: every ``detect``, ``ledger`` and
+    ``pricing`` call goes there, so whatever wraps the top sees every call.
+    ``account`` is the bottom of the chain, the first object with an
+    ``activate`` method; it owns ``activate`` and ``has_stream``.
+    ``resilient`` is the first object above it that exposes
+    ``advance_clock``; it owns the simulated clock, ``stats.retries``,
+    ``breaker`` and ``retry_budget_remaining``, and is ``None`` for a
+    plain or fault-only stack.  Resolution reads attributes only, so a
+    forwarding proxy in place of any member resolves like the member.
+    """
+
+    top: object
+    account: object
+    resilient: Optional[object] = None
+
+    @classmethod
+    def resolve(cls, service) -> "ServiceStack":
+        resilient = None
+        node = service
+        while node is not None:
+            if callable(getattr(node, "activate", None)):
+                return cls(service, node, resilient)
+            if resilient is None and hasattr(node, "advance_clock"):
+                resilient = node
+            node = getattr(node, "service", None)
+        raise TypeError(
+            "service stack has no activate(); wrap a CloudInferenceService "
+            "or FleetCIService"
+        )
+
+    @property
+    def breaker(self):
+        """The resilient node's circuit breaker (``None`` without one)."""
+        return None if self.resilient is None else self.resilient.breaker
+
+    @property
+    def retries(self) -> int:
+        """Retries so far.  Read live: ``ResilientCIClient.reset`` replaces
+        its stats object."""
+        return 0 if self.resilient is None else self.resilient.stats.retries
+
+    def advance_clock(self, seconds: float) -> None:
+        """Let ``seconds`` of stream time pass on the resilient node's clock
+        (a no-op without one)."""
+        if self.resilient is not None:
+            self.resilient.advance_clock(seconds)

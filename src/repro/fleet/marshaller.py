@@ -46,7 +46,7 @@ import numpy as np
 
 from ..cloud.faults import CIError
 from ..cloud.marshaller import FAILURE_POLICIES, MarshallingReport, StreamMarshaller
-from ..cloud.service import UsageLedger
+from ..cloud.service import ServiceStack, UsageLedger
 from ..features.extractors import FeatureMatrix
 from ..ingest.guard import (
     HEALTH_STATES,
@@ -239,28 +239,8 @@ class FleetMarshaller:
     # ------------------------------------------------------------------
     # Wiring / validation
     # ------------------------------------------------------------------
-    @staticmethod
-    def _activation_target(service):
-        """The object in the service stack that owns ``activate``.
-
-        Walks the wrapper chain (``ResilientCIClient.service``,
-        ``FaultInjector.service``, …) down to the account: a
-        :class:`~repro.fleet.service.FleetCIService`, or a plain
-        :class:`~repro.cloud.service.CloudInferenceService` serving its
-        one stream.
-        """
-        target = service
-        while target is not None:
-            if callable(getattr(target, "activate", None)):
-                return target
-            target = getattr(target, "service", None)
-        raise TypeError(
-            "service stack has no activate(); wrap a CloudInferenceService "
-            "or FleetCIService"
-        )
-
     def _make_states(
-        self, lanes, fleet_service, start_frame, guard=None
+        self, lanes, account, start_frame, guard=None
     ) -> List[_LaneState]:
         pipeline = self.marshaller.pipeline
         start = start_frame if start_frame is not None else pipeline.min_frame()
@@ -274,7 +254,7 @@ class FleetMarshaller:
                 raise ValueError(
                     f"lane {lane.name!r}: feature matrix length != stream length"
                 )
-            if not fleet_service.has_stream(lane.stream):
+            if not account.has_stream(lane.stream):
                 raise ValueError(
                     f"lane {lane.name!r} is not registered with the fleet service"
                 )
@@ -454,8 +434,7 @@ class FleetMarshaller:
         self,
         request: RelayRequest,
         state: _LaneState,
-        service,
-        activate,
+        stack: ServiceStack,
         failure_policy: str,
         max_deferrals: int,
         backlog: List[RelayRequest],
@@ -468,18 +447,17 @@ class FleetMarshaller:
         times; after that, or under ``"skip"``, its frames are charged as
         lost.
         """
-        activate(state.stream)
+        stack.account.activate(state.stream)
         report = state.report
         segment, event_type = request.segment, request.event_type
         schedule = state.stream.schedule
-        ledger = service.ledger
+        ledger = stack.top.ledger
         frames_before = ledger.frames_processed
         requests_before = ledger.requests
-        stats = getattr(service, "stats", None)
-        retries_before = getattr(stats, "retries", 0)
+        retries_before = stack.retries
         try:
             try:
-                detections = service.detect(segment, event_type)
+                detections = stack.top.detect(segment, event_type)
             except CIError as error:
                 if failure_policy == "raise":
                     raise
@@ -511,14 +489,14 @@ class FleetMarshaller:
                 )
                 inc("fleet.sched.flushed")
         finally:
-            report.retries += getattr(stats, "retries", 0) - retries_before
+            report.retries += stack.retries - retries_before
             # Replay whatever the shared ledger billed (0 under a rejected
             # call, possibly >1 request under retry wrappers) against the
             # lane-local frame count.
             billed_frames = ledger.frames_processed - frames_before
             billed_requests = ledger.requests - requests_before
             if billed_frames > 0 or billed_requests > 0:
-                pricing = service.pricing
+                pricing = stack.top.pricing
                 cost = pricing.cost(
                     state.shadow.frames_processed + billed_frames
                 ) - pricing.cost(state.shadow.frames_processed)
@@ -570,18 +548,6 @@ class FleetMarshaller:
         set_gauge("stream.health.state", health)
         return health, voided
 
-    @staticmethod
-    def _advance_service_clock(service, seconds: float) -> None:
-        """Tell a resilience-aware service that stream time passed.
-
-        One horizon of the stream takes horizon/fps wall seconds; a
-        circuit breaker waiting out its recovery window needs that time to
-        flow even while it rejects every call.  Plain services ignore it.
-        """
-        advance = getattr(service, "advance_clock", None)
-        if advance is not None:
-            advance(seconds)
-
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
@@ -593,21 +559,11 @@ class FleetMarshaller:
     _FLIGHT_FLEET_KEYS = ("backlog_segments", "backlog_frames", "flushed",
                           "postponed", "budget_spent", "breaker")
 
-    @staticmethod
-    def _stack_owner(service, attr: str):
-        """First object in the service wrapper chain exposing ``attr``."""
-        target = service
-        while target is not None:
-            if hasattr(target, attr):
-                return target
-            target = getattr(target, "service", None)
-        return None
-
     def _tick_telemetry(
         self,
         states: List[_LaneState],
         report: FleetReport,
-        service,
+        stack: ServiceStack,
         tick: int,
         backlog: List[RelayRequest],
         spent: int,
@@ -616,17 +572,13 @@ class FleetMarshaller:
         shed_events: List,
         books: Dict[str, float],
         tick_seconds: float,
-        resilient,
-        breaker,
     ) -> None:
         """Per-tick sampling: backpressure gauges, flight records, the
         time-series row, SLO burn rates, and trip-wire auto-dumps.
 
         Called only while observability is enabled; everything here reads
         run state, so decisions and reports are bit-for-bit those of an
-        untelemetered run.  ``resilient``/``breaker`` are the wrapper-stack
-        owners resolved once per run — the stack is fixed, so walking it
-        every tick would be wasted work.  This path is on the enabled-run
+        untelemetered run.  This path is on the enabled-run
         overhead budget (``benchmarks/test_fleet_telemetry_overhead.py``):
         state is accumulated in one pass and flight records land through
         the batched single-lock API.
@@ -676,12 +628,13 @@ class FleetMarshaller:
         set_gauge(
             "fleet.frames_lost_ratio", lost / covered if covered else 0.0
         )
-        cost_cum = service.ledger.total_cost - books["cost0"]
+        cost_cum = stack.top.ledger.total_cost - books["cost0"]
         set_gauge("fleet.tick_cost", cost_cum - books["cost"])
         set_gauge("fleet.cost_cum", cost_cum)
         books["cost"] = cost_cum
         observe("fleet.tick_seconds", tick_seconds)
 
+        resilient, breaker = stack.resilient, stack.breaker
         if resilient is not None and resilient.retry_budget_remaining is not None:
             set_gauge(
                 "ci.resilient.budget_remaining",
@@ -742,7 +695,8 @@ class FleetMarshaller:
         ``service`` may be a :class:`~repro.fleet.service.FleetCIService`,
         a plain :class:`~repro.cloud.service.CloudInferenceService` (which
         serves only its own stream, so one lane), or any wrapper stack
-        around either (fault injector, resilient client);
+        around either (fault injector, resilient client), resolved once
+        per run by :meth:`~repro.cloud.service.ServiceStack.resolve`;
         ``failure_policy`` and ``max_deferrals`` apply per lane as
         documented on :meth:`StreamMarshaller.run`.
 
@@ -795,9 +749,9 @@ class FleetMarshaller:
         if max_deferrals < 1:
             raise ValueError("max_deferrals must be >= 1")
         m = self.marshaller
-        fleet_service = self._activation_target(service)
-        activate = fleet_service.activate
-        states = self._make_states(list(lanes), fleet_service, start_frame, guard)
+        # The wrapper stack is fixed for the whole run: resolve it once.
+        stack = ServiceStack.resolve(service)
+        states = self._make_states(list(lanes), stack.account, start_frame, guard)
         by_name = {state.name: state for state in states}
         m.inference.reset()  # a fresh run never inherits carried state
         fps = states[0].stream.fps
@@ -809,16 +763,11 @@ class FleetMarshaller:
         tick = 0
         set_gauge("fleet.streams", len(states))
         telemetry = is_enabled()
-        # The wrapper stack around the service is fixed for the whole run;
-        # resolve the telemetry-relevant owners once instead of per tick.
-        resilient = self._stack_owner(service, "retry_budget_remaining")
-        breaker = getattr(
-            self._stack_owner(service, "breaker"), "breaker", None
-        )
+        breaker = stack.breaker
         books = {
             "cost0": cost_before, "cost": 0.0, "flushed": 0, "postponed": 0,
             "failed": 0,
-            "opens": getattr(breaker, "open_count", 0),
+            "opens": breaker.open_count if breaker is not None else 0,
         }
         with span(
             "fleet.run", streams=len(states), scheduler=self.scheduler.name
@@ -931,21 +880,23 @@ class FleetMarshaller:
                         self._flush(
                             request,
                             by_name[request.lane],
-                            service,
-                            activate,
+                            stack,
                             failure_policy,
                             max_deferrals,
                             backlog,
                         )
                         report.relays_flushed += 1
                         spent += request.frames
-                    self._advance_service_clock(service, m.horizon / fps)
+                    # One horizon of stream time passes: a breaker waiting
+                    # out its recovery window needs it even while every
+                    # call is rejected.
+                    stack.advance_clock(m.horizon / fps)
                 report.ticks += 1
                 if telemetry:
                     self._tick_telemetry(
-                        states, report, service, tick, backlog, spent,
+                        states, report, stack, tick, backlog, spent,
                         tick_requests, newly_quarantined, shed_events,
-                        books, tick_span.seconds, resilient, breaker,
+                        books, tick_span.seconds,
                     )
                 if on_tick is not None:
                     on_tick(tick)
