@@ -8,7 +8,7 @@ can sweep them to trace REC–SPL curves.
 
 from __future__ import annotations
 
-from typing import Dict, Protocol, runtime_checkable
+from typing import Dict, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -35,18 +35,22 @@ class OutputCache:
     Knob sweeps call ``predict`` dozens of times on the same records; the
     network output does not depend on the knobs, so it is computed once.
     The cache is keyed by object identity — RecordSets are treated as
-    immutable snapshots throughout the harness.
+    immutable snapshots throughout the harness.  Each entry holds its
+    RecordSet and is served only to that same object: an ``id`` is reused
+    once its object is collected, so the key alone could hand a new
+    RecordSet another one's output.
     """
 
     def __init__(self, model: EventHit):
         self.model = model
-        self._store: Dict[int, EventHitOutput] = {}
+        self._store: Dict[int, Tuple[RecordSet, EventHitOutput]] = {}
 
     def output_for(self, records: RecordSet) -> EventHitOutput:
-        key = id(records)
-        if key not in self._store:
-            self._store[key] = self.model.predict(records.covariates)
-        return self._store[key]
+        entry = self._store.get(id(records))
+        if entry is None or entry[0] is not records:
+            entry = (records, self.model.predict(records.covariates))
+            self._store[id(records)] = entry
+        return entry[1]
 
     def clear(self) -> None:
         self._store.clear()

@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..conformal.classify import ConformalClassifier
 from ..conformal.regress import ConformalRegressor
 from ..core.batched import BatchedInference
-from ..core.inference import extract_interval_segments, extract_intervals
+from ..core.inference import extract_interval_segments, kept_intervals
 from ..core.model import EventHit
 from ..features.extractors import FeatureMatrix
 from ..features.pipeline import CovariatePipeline
@@ -298,53 +300,52 @@ class StreamMarshaller:
         interval extraction, C-REGRESS widening) is row-independent, so
         row ``b``'s segments are exactly what a single-row call would
         return — the fleet marshaller decides all lanes in this one call.
-        In span mode each event gets at most one segment per row.
+        In span mode each event gets at most one segment per row.  Both
+        modes read occurrence scores only for the (row, event) pairs the
+        existence decision keeps (:meth:`EventHitOutput.kept_frame_scores
+        <repro.core.model.EventHitOutput.kept_frame_scores>`).
         """
         if self.classifier is not None:
             exists = self.classifier.predict(output, self.confidence)
         else:
             exists = output.scores >= self.tau1
-        batch = exists.shape[0]
 
         if self.segmented:
-            raw = extract_interval_segments(
-                output.frame_scores, self.tau2, min_gap=self.segment_min_gap
-            )
+            rows, cols, scores = output.kept_frame_scores(exists)
+            kept = [
+                runs
+                for (runs,) in extract_interval_segments(
+                    scores[:, None, :], self.tau2, min_gap=self.segment_min_gap
+                )
+            ]
             if self.regressor is not None:
-                quantiles = self.regressor.quantiles(self.alpha)
-                widened_rows = []
-                for row in raw:
-                    widened = []
-                    for k, runs in enumerate(row):
-                        q_start, q_end = int(quantiles[k, 0]), int(quantiles[k, 1])
-                        adjusted = [
+                quantiles = self.regressor.quantiles(self.alpha).astype(int)
+                kept = [
+                    _merge_runs(
+                        [
                             (max(1, s - q_start), min(self.horizon, e + q_end))
                             for s, e in runs
                         ]
-                        widened.append(_merge_runs(adjusted))
-                    widened_rows.append(widened)
-                raw = widened_rows
-            segments = [
-                [runs if exists[b, k] else [] for k, runs in enumerate(raw[b])]
-                for b in range(batch)
-            ]
-            if self.regressor is not None:
-                inc(
-                    "marshal.widenings",
-                    sum(len(runs) for row in segments for runs in row),
-                )
-            return exists, segments
-
-        if self.regressor is not None:
-            inc("marshal.widenings", int(exists.sum()))
-            predictions = self.regressor.predict(output, exists, self.alpha)
-            starts, ends = predictions.starts, predictions.ends
+                    )
+                    for (q_start, q_end), runs in zip(quantiles[cols].tolist(), kept)
+                ]
+                inc("marshal.widenings", sum(len(runs) for runs in kept))
         else:
-            starts, ends = extract_intervals(output.frame_scores, self.tau2)
-        segments = [
-            [[(s, e)] if on else [] for on, s, e in zip(*row)]
-            for row in zip(exists.tolist(), starts.tolist(), ends.tolist())
-        ]
+            if self.regressor is not None:
+                inc("marshal.widenings", int(exists.sum()))
+                predictions = self.regressor.predict(output, exists, self.alpha)
+                starts, ends = predictions.starts, predictions.ends
+            else:
+                starts, ends = kept_intervals(output, exists, self.tau2)
+            rows, cols = np.nonzero(exists)
+            kept = [
+                [(s, e)]
+                for s, e in zip(starts[rows, cols].tolist(), ends[rows, cols].tolist())
+            ]
+        batch, num_events = exists.shape
+        segments = [[[] for _ in range(num_events)] for _ in range(batch)]
+        for b, k, runs in zip(rows.tolist(), cols.tolist(), kept):
+            segments[b][k] = runs
         return exists, segments
 
     def run(

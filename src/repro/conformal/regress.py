@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.inference import PredictionBatch, extract_intervals
+from ..core.inference import PredictionBatch, extract_intervals, kept_intervals
 from ..core.model import EventHit, EventHitOutput
 from ..data.records import RecordSet
 from ..obs import span
@@ -157,6 +157,10 @@ class ConformalRegressor:
     ) -> PredictionBatch:
         """Full C-REGRESS pass: extract raw intervals, then widen.
 
+        Intervals are extracted and widened only for the (row, event)
+        pairs ``exists`` keeps (:func:`~repro.core.inference.kept_intervals`);
+        the rest read zero, as they always have.
+
         Parameters
         ----------
         output:
@@ -170,5 +174,5 @@ class ConformalRegressor:
         exists = np.array(exists, dtype=bool)
         if exists.shape != output.scores.shape:
             raise ValueError("exists must be shaped (B, K) like the scores")
-        starts, ends = extract_intervals(output.frame_scores, self.tau2)
+        starts, ends = kept_intervals(output, exists, self.tau2)
         return self._widened(exists, starts, ends, output.horizon, alpha)

@@ -48,7 +48,7 @@ from ..nn import (
     lstm_forward_numpy,
 )
 from ..nn.layers import ReLU, Sigmoid, Tanh
-from .model import EventHit, EventHitOutput
+from .model import EventHit, EventHitOutput, _sigmoid
 
 __all__ = ["BatchedInference", "TILE_ROWS", "rowstable_matmul"]
 
@@ -87,12 +87,6 @@ def rowstable_matmul(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     padded.reshape(-1, contract)[:rows] = x.reshape(rows, contract)
     out = np.matmul(padded, weight).reshape(-1, cols)[:rows]
     return out.reshape(*lead, cols)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Same formula as Tensor.sigmoid, for bitwise agreement of the
-    # elementwise path.
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -227,7 +221,9 @@ class BatchedInference:
         Returns
         -------
         :class:`EventHitOutput` with ``(B, K)`` scores and ``(B, K, H)``
-        frame scores.  Row ``i`` is bitwise identical to the row a
+        frame scores, built :meth:`~EventHitOutput.from_logits`: the frame
+        scores are activated on first use, or only for the pairs a
+        decision keeps.  Row ``i`` is bitwise identical to the row a
         single-window call would produce, so chunking a fleet across
         several calls can never change a marshalling decision.
         """
@@ -251,11 +247,15 @@ class BatchedInference:
             pooled = x.sum(axis=1) * (1.0 / x.shape[1])
             encoded = self._eval_layer(model.encoder, pooled)
 
-        theta = self._head_theta(encoded, last_vector)
-        return EventHitOutput(theta[:, :, 0], theta[:, :, 1:])
+        return EventHitOutput.from_logits(self._head_logits(encoded, last_vector))
 
     def _head_theta(self, encoded: np.ndarray, last_vector: np.ndarray) -> np.ndarray:
-        """Shared sub-network + heads over encoded states: ``(B, K, H+1)``.
+        """The activated Θ ``(B, K, H+1)``: :meth:`_head_logits` through the
+        heads' output sigmoid, over every row and event."""
+        return _sigmoid(self._head_logits(encoded, last_vector))
+
+    def _head_logits(self, encoded: np.ndarray, last_vector: np.ndarray) -> np.ndarray:
+        """Shared sub-network + heads over encoded states: Θ logits ``(B, K, H+1)``.
 
         Every op here is row-independent (row-stable matmuls, elementwise
         activations), so this stage is batch-size invariant on its own —
@@ -264,15 +264,19 @@ class BatchedInference:
         bitwise-equal rows whenever the encodings are bitwise equal.
 
         Each head must end in ``Linear → Sigmoid`` (as EventHit builds
-        them): its last ``Linear`` writes straight into the head's slice
-        of one ``(B, K, H+1)`` buffer, and the output sigmoid runs once
-        over the whole buffer with :func:`_sigmoid`'s formula.
+        them): its last ``Linear`` runs whole (the GEMM shapes, and so the
+        bits, are the same for every batch) and writes straight into the
+        head's contiguous block of one head-major ``(K, B, H+1)`` buffer;
+        the result is that buffer's ``(B, K, H+1)`` transposed view.  The
+        output sigmoid is *not* applied: :meth:`EventHitOutput.from_logits`
+        activates the existence column at once and the occurrence columns
+        only where they are read.
         """
         z = self._eval_sequential(self.model.shared, encoded)
         head_input = np.concatenate([z, last_vector], axis=1)
         heads = self.model.heads()
         theta = np.empty(
-            (head_input.shape[0], len(heads), self.model.config.horizon + 1)
+            (len(heads), head_input.shape[0], self.model.config.horizon + 1)
         )
         for k, head in enumerate(heads):
             layers = head.net._layers if isinstance(head, MLP) else []
@@ -290,12 +294,7 @@ class BatchedInference:
             last = layers[-2]
             product = rowstable_matmul(hidden, last.weight.data)
             if last.bias is not None:
-                np.add(product, last.bias.data, out=theta[:, k, :])
+                np.add(product, last.bias.data, out=theta[k])
             else:
-                theta[:, k, :] = product
-        # 1 / (1 + exp(-x)), in place: bitwise _sigmoid.
-        np.negative(theta, out=theta)
-        np.exp(theta, out=theta)
-        theta += 1.0
-        np.divide(1.0, theta, out=theta)
-        return theta
+                theta[k] = product
+        return theta.transpose(1, 0, 2)

@@ -55,7 +55,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import gru_step_numpy, lstm_forward_numpy, lstm_step_numpy
+from ..nn import (
+    gru_step_numpy,
+    lstm_forward_numpy,
+    lstm_step_numpy,
+    prepare_lstm_weights,
+)
 from ..obs import inc
 from .batched import BatchedInference, rowstable_matmul
 from .model import EventHit, EventHitOutput
@@ -92,7 +97,7 @@ class ContinualInference(BatchedInference):
         reuses the lane's cached scores without touching state.
 
     Unlike the windowed engine, which reads model parameters live on every
-    call, this engine caches the permuted/pre-doubled weight projections
+    call, this engine caches the permuted, sign-folded weight projections
     at bind time (they are rebuilt by :meth:`rebind` /
     :meth:`refresh_weights` — the lifecycle controller's hot-swap path).
     """
@@ -114,6 +119,7 @@ class ContinualInference(BatchedInference):
         self._h = np.empty((0, model.encoder.hidden_size))
         self._c = np.empty_like(self._h)  # LSTM only
         self._ref = np.empty((0, model.num_features))  # last consumed frame
+        # Θ logits of the last computed tick, re-served to gated rows.
         self._theta = np.empty((0, model.num_events, model.config.horizon + 1))
         self._end = np.empty(0, dtype=np.int64)  # last consumed frame index
         self._gate_hits = np.empty(0, dtype=np.int64)
@@ -134,20 +140,10 @@ class ContinualInference(BatchedInference):
         model = self.model
         if model.encoder_kind == "lstm":
             cell = model.encoder.cell
-            hidden = cell.hidden_size
-            # Same preparation lstm_forward_numpy applies per call: permute
-            # gate columns [i, f, g, o] → [o, i, f, g] and pre-double the
-            # candidate block (tanh via 2σ(2x) − 1; ×2 is exact).
-            from ..nn.fused import _gate_permutation
-
-            perm = _gate_permutation(hidden)
-            wx_p = cell.weight_x.data[:, perm]
-            wh_p = cell.weight_h.data[:, perm]
-            b_p = cell.bias.data[perm]
-            wx_p[:, 3 * hidden :] *= 2.0
-            wh_p[:, 3 * hidden :] *= 2.0
-            b_p[3 * hidden :] *= 2.0
-            self._prepared_weights = (wx_p, wh_p, b_p)
+            # The preparation lstm_forward_numpy applies per call.
+            self._prepared_weights = prepare_lstm_weights(
+                cell.weight_x.data, cell.weight_h.data, cell.bias.data
+            )
         else:  # gru
             cell = model.encoder.cell
             self._prepared_weights = (
@@ -356,10 +352,10 @@ class ContinualInference(BatchedInference):
             inc("continual.steps", lane_stride * len(rows))
 
         # Head pass over every computed row in one stacked call; gated
-        # rows re-serve their cached scores.
+        # rows re-serve their cached Θ logits.
         gated = np.flatnonzero(action == _GATE) if self.gate_delta is not None else ()
         if not len(gated):
-            theta = self._head_theta(h_rows, x[:, -1, :])
+            theta = self._head_logits(h_rows, x[:, -1, :])
             computed = slice(None)
         else:
             theta = np.empty(
@@ -369,7 +365,7 @@ class ContinualInference(BatchedInference):
             h_rows = h_rows[computed]
             c_rows = c_rows[computed] if is_lstm else None
             if len(computed):
-                theta[computed] = self._head_theta(h_rows, x[computed, -1, :])
+                theta[computed] = self._head_logits(h_rows, x[computed, -1, :])
             theta[gated] = self._theta[index[gated]]
             self._gate_hits[index[gated]] += 1
             for i in gated.tolist():
@@ -384,7 +380,7 @@ class ContinualInference(BatchedInference):
             self._theta[state_rows] = theta[computed]
             self._computes[state_rows] += 1
 
-        return EventHitOutput(theta[:, :, 0], theta[:, :, 1:])
+        return EventHitOutput.from_logits(theta)
 
 
 def make_engine(

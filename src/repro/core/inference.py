@@ -31,6 +31,7 @@ __all__ = [
     "PredictionBatch",
     "predict_existence",
     "extract_intervals",
+    "kept_intervals",
     "threshold_predictions",
     "extract_interval_segments",
     "segments_to_mask",
@@ -118,6 +119,26 @@ def extract_intervals(
         starts = np.where(any_above, starts, peak)
         ends = np.where(any_above, ends, peak)
     return starts.astype(int), ends.astype(int)
+
+
+def kept_intervals(
+    output: EventHitOutput, exists: np.ndarray, tau2: float = 0.5
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`extract_intervals` for only the (row, event) pairs ``exists``
+    keeps.
+
+    Returns (B, K) starts/ends equal to :func:`extract_intervals`' on the
+    kept pairs and zero elsewhere.  Only the kept pairs' occurrence scores
+    are read (:meth:`EventHitOutput.kept_frame_scores`), so a lazily
+    activated output never activates the rest.
+    """
+    rows, events, scores = output.kept_frame_scores(exists)
+    first, last = extract_intervals(scores[:, None, :], tau2)
+    starts = np.zeros(output.scores.shape, dtype=int)
+    ends = np.zeros_like(starts)
+    starts[rows, events] = first[:, 0]
+    ends[rows, events] = last[:, 0]
+    return starts, ends
 
 
 def threshold_predictions(

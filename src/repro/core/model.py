@@ -20,9 +20,16 @@ import numpy as np
 
 from .. import nn
 from ..nn import GRU, LSTM, MLP, Dropout, Linear, Module, Sequential, Tensor
+from ..nn.fused import _sigmoid_inplace
 from .config import EventHitConfig
 
 __all__ = ["EventHit", "EventHitOutput"]
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # Same formula as Tensor.sigmoid, for bitwise agreement of the
+    # elementwise path.
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 class EventHitOutput:
@@ -34,6 +41,13 @@ class EventHitOutput:
         (B, K) existence scores b_k ∈ [0, 1].
     frame_scores:
         (B, K, H) per-offset occurrence scores θ_{k,v} ∈ [0, 1].
+
+    An output built :meth:`from_logits` (the serving engines) activates
+    ``scores`` at once but ``frame_scores`` only on first access, then
+    caches them: a decision reads the occurrence scores of the (row,
+    event) pairs it keeps through :meth:`kept_frame_scores`, which
+    activates just those rows.  Either way every value is bitwise what
+    the eager sigmoid over the whole Θ buffer gives.
     """
 
     def __init__(self, scores: np.ndarray, frame_scores: np.ndarray):
@@ -44,7 +58,45 @@ class EventHitOutput:
         if scores.shape != frame_scores.shape[:2]:
             raise ValueError("scores and frame_scores disagree on (B, K)")
         self.scores = scores
-        self.frame_scores = frame_scores
+        self._frame_scores: Optional[np.ndarray] = frame_scores
+        self._frame_logits: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_logits(cls, theta: np.ndarray) -> "EventHitOutput":
+        """An output over pre-activation Θ logits ``(B, K, 1 + H)``."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.ndim != 3 or theta.shape[2] < 2:
+            raise ValueError("theta logits must be (B, K, 1 + H) with H >= 1")
+        out = cls.__new__(cls)
+        out.scores = _sigmoid(theta[:, :, 0])
+        out._frame_scores = None
+        out._frame_logits = theta[:, :, 1:]
+        return out
+
+    @property
+    def frame_scores(self) -> np.ndarray:
+        if self._frame_scores is None:
+            self._frame_scores = _sigmoid_inplace(
+                np.array(self._frame_logits, order="C")
+            )
+        return self._frame_scores
+
+    def kept_frame_scores(
+        self, exists: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, events, scores)`` for the pairs ``exists`` keeps.
+
+        ``rows``/``events`` are the indices of ``exists``'s True entries
+        in row-major order and ``scores`` the ``(N, H)`` occurrence scores
+        of those pairs, activated here if the full array has not been.
+        """
+        exists = np.asarray(exists, dtype=bool)
+        if exists.shape != self.scores.shape:
+            raise ValueError("exists must be shaped (B, K) like the scores")
+        rows, events = np.nonzero(exists)
+        if self._frame_scores is not None:
+            return rows, events, self._frame_scores[rows, events]
+        return rows, events, _sigmoid_inplace(self._frame_logits[rows, events])
 
     @property
     def batch_size(self) -> int:
@@ -56,7 +108,9 @@ class EventHitOutput:
 
     @property
     def horizon(self) -> int:
-        return self.frame_scores.shape[2]
+        if self._frame_scores is not None:
+            return self._frame_scores.shape[2]
+        return self._frame_logits.shape[2]
 
     def subset(self, indices) -> "EventHitOutput":
         return EventHitOutput(self.scores[indices], self.frame_scores[indices])

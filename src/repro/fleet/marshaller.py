@@ -488,6 +488,7 @@ class FleetMarshaller:
                     event_type, detections, segment.start, segment.end
                 )
                 inc("fleet.sched.flushed")
+                inc("stage.frames_relayed", segment.num_frames)
         finally:
             report.retries += stack.retries - retries_before
             # Replay whatever the shared ledger billed (0 under a rejected
@@ -918,7 +919,6 @@ class FleetMarshaller:
         inc("stage.frames_covered", fleet.frames_covered)
         inc("stage.frames_featurized", fleet.frames_covered)
         inc("stage.predictions", fleet.horizons_evaluated)
-        inc("stage.frames_relayed", fleet.frames_relayed)
         log_info(
             "fleet.run_complete",
             streams=len(states),

@@ -27,6 +27,7 @@ from .fused import (
     lstm_forward_numpy,
     lstm_fused,
     lstm_step_numpy,
+    prepare_lstm_weights,
     use_fused,
 )
 from .layers import (
@@ -60,6 +61,7 @@ __all__ = [
     "lstm_fused",
     "lstm_forward_numpy",
     "lstm_step_numpy",
+    "prepare_lstm_weights",
     "gru_forward_numpy",
     "gru_step_numpy",
     "fused_weighted_bce_sum",

@@ -48,6 +48,7 @@ __all__ = [
     "lstm_fused",
     "lstm_forward_numpy",
     "lstm_step_numpy",
+    "prepare_lstm_weights",
     "gru_forward_numpy",
     "gru_step_numpy",
     "fused_weighted_bce_sum",
@@ -202,6 +203,82 @@ def _check_lstm_shapes(
 # ----------------------------------------------------------------------
 # Graph-free numpy forwards (no_grad inference path)
 # ----------------------------------------------------------------------
+#: Per-gate weight scale of the prepared inference weights, in the permuted
+#: ``[o, i, f, g]`` order: −1 on the σ gates and −2 on the candidate.
+_GATE_SIGNS = (-1.0, -1.0, -1.0, -2.0)
+
+
+def prepare_lstm_weights(
+    weight_x: np.ndarray, weight_h: np.ndarray, bias: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Permuted, sign-folded copies of the LSTM weights for inference.
+
+    Gate columns are permuted ``[i, f, g, o]`` → ``[o, i, f, g]``; each
+    output column of a product depends only on its own weight column, so
+    the permuted GEMMs are bitwise the unpermuted ones element for element
+    (this keeps an injected row-stable matmul's contraction order intact
+    too).  The σ columns are then scaled by −1 and the candidate columns
+    by −2.  Both scales are exact (a sign flip and a power of two) and
+    IEEE rounding is sign-symmetric, so every projection arrives holding
+    ``−x`` for the σ gates and ``−2x`` for the candidate, bit for bit:
+    ``exp`` runs on it directly for ``σ(x) = 1 / (1 + exp(−x))``, and the
+    candidate's ``tanh(x) = 2σ(2x) − 1``.
+
+    :func:`lstm_forward_numpy` prepares once per call;
+    :func:`lstm_step_numpy` callers that step every tick (the continual
+    engine) prepare once per model bind.
+    """
+    hidden = weight_h.shape[0]
+    perm = _gate_permutation(hidden)
+    signs = np.repeat(_GATE_SIGNS, hidden)
+    return weight_x[:, perm] * signs, weight_h[:, perm] * signs, bias[perm] * signs
+
+
+class _GateMajorCell:
+    """Buffers and in-place update of the inference LSTM cell, gate-major.
+
+    :attr:`proj` is the row-major ``(B, 4H)`` pre-activation the caller
+    fills each step (``h @ wh_p`` plus that step's input projection, on
+    the sign-folded weights of :func:`prepare_lstm_weights`, so it holds
+    ``[−o, −i, −f, −2g]``).  :meth:`update` copies it into a gate-major
+    ``(4, B, H)`` block, where every gate is one contiguous ``(B, H)``
+    array, and runs the cell there: on row-major column slices each
+    gate op would be a strided pass costing about three contiguous ones.
+    The cell state lives in ``pair[1]`` (:attr:`c`), next to a candidate
+    slot ``pair[0]``, so one multiply forms both ``i ⊙ g`` and
+    ``f ⊙ c_prev``.  All views are split once here, not per step.
+    """
+
+    __slots__ = ("proj", "c", "_proj_g", "_gates", "_pair", "_o", "_if",
+                 "_g2", "_g", "_tanh_c")
+
+    def __init__(self, c0: np.ndarray):
+        batch, hidden = c0.shape
+        self.proj = np.empty((batch, 4 * hidden))
+        self._proj_g = self.proj.reshape(batch, 4, hidden).transpose(1, 0, 2)
+        self._gates = gates = np.empty((4, batch, hidden))
+        self._pair = pair = np.empty((2, batch, hidden))
+        pair[1] = c0
+        self.c = pair[1]
+        self._g = pair[0]
+        self._o, self._if, self._g2 = gates[0], gates[1:3], gates[3]
+        self._tanh_c = np.empty((batch, hidden))
+
+    def update(self, h: np.ndarray) -> None:
+        """One cell step from :attr:`proj`; writes ``h`` and :attr:`c` in place."""
+        gates, g, c = self._gates, self._g, self.c
+        np.copyto(gates, self._proj_g)
+        np.exp(gates, out=gates)
+        gates += 1.0
+        np.reciprocal(gates, out=gates)  # σ(o), σ(i), σ(f), σ(2g)
+        np.multiply(self._g2, 2.0, out=g)
+        g -= 1.0  # tanh(g) = 2σ(2g) − 1
+        np.multiply(self._if, self._pair, out=self._pair)  # i ⊙ g, f ⊙ c_prev
+        np.add(g, c, out=c)
+        np.tanh(c, out=self._tanh_c)
+        np.multiply(self._o, self._tanh_c, out=h)  # o ⊙ tanh(c)
+
+
 def lstm_forward_numpy(
     x: np.ndarray,
     weight_x: np.ndarray,
@@ -215,11 +292,16 @@ def lstm_forward_numpy(
     """Run the whole LSTM sequence in raw numpy; returns ``h_T`` (B, H).
 
     The input projection for every timestep is hoisted into one matrix
-    product; the recurrence reuses preallocated gate/state buffers, so the
-    per-step cost is a single ``(B, H) @ (H, 4H)`` product plus elementwise
-    work.  ``matmul`` lets :class:`~repro.core.batched.BatchedInference`
-    inject its row-stable contraction (it must accept the 3-D input
-    projection as well); the default uses BLAS.
+    product on the prepared weights (:func:`prepare_lstm_weights`), so
+    the per-step cost is one ``(B, H) @ (H, 4H)`` product, one add of that
+    step's projection, and the gate-major cell update of
+    :class:`_GateMajorCell`: a copy into ``(4, B, H)`` gate blocks and
+    nine contiguous elementwise passes.  ``matmul`` lets
+    :class:`~repro.core.batched.BatchedInference` inject its row-stable
+    contraction (it must accept the 3-D input projection as well); the
+    recurrence calls it as ``matmul(h, wh_p)`` every step.  The default
+    uses BLAS.  The result is bitwise what the row-major
+    ``σ(x) = 1 / (1 + exp(−x))`` recurrence on unscaled weights gives.
 
     ``return_state`` returns the full ``(h_T, c_T)`` state instead of just
     ``h_T`` — the warm-up path of the continual engine, which must resume
@@ -227,19 +309,7 @@ def lstm_forward_numpy(
     it (:func:`lstm_step_numpy` continues bitwise from this state).
     """
     batch, steps, features, hidden = _check_lstm_shapes(x, weight_x, weight_h, bias)
-    # Permute gate columns [i, f, g, o] → [o, i, f, g] once per call so the
-    # three sigmoid gates activate in a single contiguous ufunc pass.  Each
-    # output column only depends on its own weight column, so the permuted
-    # computation is bitwise identical element-for-element (this also keeps
-    # the injected row-stable matmul's per-element contraction order intact).
-    perm = _gate_permutation(hidden)
-    wx_p = weight_x[:, perm]
-    wh_p = weight_h[:, perm]
-    b_p = bias[perm]
-    # Pre-double the candidate gate (tanh via 2σ(2x) − 1); ×2 is exact.
-    wx_p[:, 3 * hidden :] *= 2.0
-    wh_p[:, 3 * hidden :] *= 2.0
-    b_p[3 * hidden :] *= 2.0
+    wx_p, wh_p, b_p = prepare_lstm_weights(weight_x, weight_h, bias)
     # Time-major projection: per-step slices of ``xw`` are contiguous.
     if matmul is None:
         pooled = _workspaces.take(steps, batch, features)
@@ -255,28 +325,19 @@ def lstm_forward_numpy(
     xw += b_p
 
     h = np.array(h0, dtype=np.float64) if h0 is not None else np.zeros((batch, hidden))
-    c = np.array(c0, dtype=np.float64) if c0 is not None else np.zeros((batch, hidden))
-    gates = np.empty((batch, 4 * hidden))
-    tanh_c = np.empty((batch, hidden))
-    tmp = np.empty((batch, hidden))
+    cell = _GateMajorCell(c0 if c0 is not None else np.zeros((batch, hidden)))
+    proj = cell.proj
     for t in range(steps):
         if matmul is None:
-            np.matmul(h, wh_p, out=gates)
-            gates += xw[t]
+            np.matmul(h, wh_p, out=proj)
+            proj += xw[t]
         else:
-            np.add(matmul(h, wh_p), xw[t], out=gates)
-        _activate_gates_inplace(gates, hidden)
-        c *= gates[:, 2 * hidden : 3 * hidden]  # f ⊙ c_prev
-        np.multiply(
-            gates[:, hidden : 2 * hidden], gates[:, 3 * hidden :], out=tmp
-        )  # i ⊙ g
-        c += tmp
-        np.tanh(c, out=tanh_c)
-        np.multiply(gates[:, :hidden], tanh_c, out=h)  # o ⊙ tanh(c)
+            np.add(matmul(h, wh_p), xw[t], out=proj)
+        cell.update(h)
     if matmul is None:
         _workspaces.give(pooled, xw)
     if return_state:
-        return h, c
+        return h, cell.c
     return h
 
 
@@ -291,9 +352,9 @@ def lstm_step_numpy(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One stateful LSTM step on *prepared* weights; updates ``h, c`` in place.
 
-    ``wx_p`` / ``wh_p`` / ``b_p`` are the permuted (``[o, i, f, g]``) and
-    candidate-pre-doubled copies that :func:`lstm_forward_numpy` builds
-    once per call — callers that step every tick (the continual engine)
+    ``wx_p`` / ``wh_p`` / ``b_p`` come from :func:`prepare_lstm_weights`
+    (the permuted, sign-folded copies :func:`lstm_forward_numpy` builds
+    once per call) — callers that step every tick (the continual engine)
     cache them once per model bind instead.  The op sequence mirrors the
     sequence forward's inner loop exactly, so stepping frames one at a
     time is **bitwise identical** to running the whole window through
@@ -303,14 +364,10 @@ def lstm_step_numpy(
     mm = np.matmul if matmul is None else matmul
     xw = mm(frame, wx_p)
     xw += b_p
-    gates = mm(h, wh_p)
-    gates += xw
-    hidden = h.shape[1]
-    _activate_gates_inplace(gates, hidden)
-    c *= gates[:, 2 * hidden : 3 * hidden]  # f ⊙ c_prev
-    c += gates[:, hidden : 2 * hidden] * gates[:, 3 * hidden :]  # i ⊙ g
-    tanh_c = np.tanh(c)
-    np.multiply(gates[:, :hidden], tanh_c, out=h)  # o ⊙ tanh(c)
+    cell = _GateMajorCell(c)
+    np.add(mm(h, wh_p), xw, out=cell.proj)
+    cell.update(h)
+    c[...] = cell.c
     return h, c
 
 

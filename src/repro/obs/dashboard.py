@@ -39,11 +39,10 @@ GAUGE_SERIES = (
 )
 RATE_SERIES = (
     "stage.frames_relayed",
-    "marshal.segments_relayed",
     "marshal.segments_deferred",
     "fleet.sched.flushed",
     "fleet.sched.postponed",
-    "ci.retries",
+    "ci.resilient.retries",
 )
 
 

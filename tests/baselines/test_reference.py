@@ -81,6 +81,25 @@ class TestOutputCache:
         b = cache.output_for(records)
         assert a is b
 
+    def test_reused_id_recomputes(self):
+        # Python reuses an id once its object is collected.  Plant the
+        # entry of one RecordSet under a live one's id, as such a reuse
+        # would leave it: the cache must recompute, not serve it.
+        records, other = make_records(seed=1, k=1), make_records(seed=2, k=1)
+        config = EventHitConfig(window_size=4, horizon=H, lstm_hidden=8,
+                                shared_hidden=(8,), head_hidden=(8,),
+                                dropout=0.0, epochs=1)
+        model = EventHit(3, 1, config=config)
+        cache = OutputCache(model)
+        stale = cache.output_for(other)
+        cache._store[id(records)] = cache._store.pop(id(other))
+        fresh = cache.output_for(records)
+        assert fresh is not stale
+        np.testing.assert_array_equal(
+            fresh.scores, model.predict(records.covariates).scores
+        )
+        assert not np.array_equal(fresh.scores, stale.scores)
+
     def test_clear(self):
         records = make_records(k=1)
         config = EventHitConfig(window_size=4, horizon=H, lstm_hidden=8,

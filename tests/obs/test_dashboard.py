@@ -1,9 +1,12 @@
 """Dashboard renderer and Prometheus text exposition."""
 
+import io
+import json
 import math
 
 from repro import obs
-from repro.obs.dashboard import render_dashboard, sparkline
+from repro.cli import main
+from repro.obs.dashboard import RATE_SERIES, render_dashboard, sparkline
 from repro.obs.export import render_prometheus
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry
@@ -118,3 +121,23 @@ class TestRenderPrometheus:
 
     def test_empty_registry(self):
         assert render_prometheus() == ""
+
+
+class TestRateSeriesAreWritten:
+    def test_every_rate_series_is_written_by_a_faulted_watch_run(self, tmp_path):
+        # A seeded chaos run big enough to retry, defer and (under a frame
+        # budget) postpone: a rate the dashboard lists but nothing writes
+        # would never be drawn.
+        dump = tmp_path / "timeseries.json"
+        argv = ["watch", "--task", "TA10", "--plain", "--streams", "24",
+                "--max-horizons", "24", "--fault-rate", "0.4",
+                "--budget-frames", "1000", "--refresh-ticks", "500",
+                "--seed", "2", "--scale", "0.05", "--epochs", "6",
+                "--records", "120", "--timeseries-out", str(dump)]
+        out = io.StringIO()
+        assert main(argv, out=out) == 0
+        series = json.loads(dump.read_text())["series"]
+        for name in RATE_SERIES:
+            assert name in series, f"{name} never written"
+            assert any(value for value in series[name] if value is not None), name
+            assert name in out.getvalue()
