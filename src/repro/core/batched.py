@@ -249,11 +249,6 @@ class BatchedInference:
 
         return EventHitOutput.from_logits(self._head_logits(encoded, last_vector))
 
-    def _head_theta(self, encoded: np.ndarray, last_vector: np.ndarray) -> np.ndarray:
-        """The activated Θ ``(B, K, H+1)``: :meth:`_head_logits` through the
-        heads' output sigmoid, over every row and event."""
-        return _sigmoid(self._head_logits(encoded, last_vector))
-
     def _head_logits(self, encoded: np.ndarray, last_vector: np.ndarray) -> np.ndarray:
         """Shared sub-network + heads over encoded states: Θ logits ``(B, K, H+1)``.
 

@@ -2,9 +2,10 @@
 
 The covariates at frame i are the stacked feature vectors of the collection
 window W of length M ending at i:  ``X_i = [X_{i-M+1}, ..., X_i] ∈ R^{M×D}``.
-This module slices those windows out of a :class:`FeatureMatrix`, both
-one-at-a-time and as batched (B, M, D) arrays for training, with optional
-per-channel standardisation fitted on training data only.
+This module slices those windows out of a :class:`FeatureMatrix`: as one
+(B, M, D) block of one window per serving lane, and as batched (B, M, D)
+arrays from one matrix for training, with optional per-channel
+standardisation fitted on training data only.
 """
 
 from __future__ import annotations
@@ -44,17 +45,23 @@ class Standardizer:
 
 
 class CovariatePipeline:
-    """Slice collection windows out of a feature matrix.
+    """Slice collection windows out of feature matrices.
+
+    Every window the serving path cuts goes through :meth:`windows_at`:
+    one ``(features, frame)`` pair per lane in, one ``(B, M, D)`` block out,
+    standardized as ``B·M`` rows in one :meth:`Standardizer.transform`
+    call.  :meth:`covariates_at` is its one-lane case.
 
     Parameters
     ----------
     window_size:
         M, the number of frames per collection window.
     standardizer:
-        Optional fitted :class:`Standardizer`.  :meth:`covariates_at`
-        standardizes only the M rows it serves, so per-call work does not
-        grow with stream length; the transform is elementwise, so this is
-        bitwise equal to slicing a standardized matrix.
+        Optional fitted :class:`Standardizer`.  Only the rows being served
+        are standardized, so per-window work does not grow with stream
+        length; the transform is an elementwise IEEE subtract and divide,
+        so this is bitwise equal to slicing a standardized matrix, and a
+        block is bitwise the stack of its windows standardized one by one.
     """
 
     def __init__(self, window_size: int, standardizer: Optional[Standardizer] = None):
@@ -67,17 +74,41 @@ class CovariatePipeline:
         """Smallest frame index with a full collection window behind it."""
         return self.window_size - 1
 
-    def covariates_at(self, features: FeatureMatrix, frame: int) -> np.ndarray:
-        """The (M, D) covariate window ending at ``frame`` (inclusive)."""
-        if frame < self.min_frame() or frame >= features.num_frames:
-            raise ValueError(
-                f"frame {frame} outside valid range "
-                f"[{self.min_frame()}, {features.num_frames})"
-            )
-        window = features.values[frame - self.window_size + 1 : frame + 1]
+    def windows_at(
+        self, features_seq: Sequence[FeatureMatrix], frames: Sequence[int]
+    ) -> np.ndarray:
+        """The (B, M, D) block whose row ``b`` is the window of
+        ``features_seq[b]`` ending at ``frames[b]`` (inclusive).
+
+        Pairs are range-checked in order; the first bad one raises.  The raw
+        slices are stacked once and the block is standardized as one
+        ``(B·M, D)`` row view, so float32 features promote exactly as they
+        would one window at a time.  (Under float32 statistics a block that
+        mixes float32 and float64 lanes standardizes every lane in float64.)
+        """
+        if len(features_seq) != len(frames):
+            raise ValueError("one frame per feature matrix")
+        if len(frames) == 0:
+            raise ValueError("windows_at needs at least one (features, frame) pair")
+        size, low = self.window_size, self.min_frame()
+        slices = []
+        for features, frame in zip(features_seq, frames):
+            if frame < low or frame >= features.num_frames:
+                raise ValueError(
+                    f"frame {frame} outside valid range "
+                    f"[{low}, {features.num_frames})"
+                )
+            slices.append(features.values[frame - size + 1 : frame + 1])
+        block = np.stack(slices)
         if self.standardizer is None:
-            return window
-        return self.standardizer.transform(window)
+            return block
+        rows = block.reshape(-1, block.shape[-1])
+        return self.standardizer.transform(rows).reshape(block.shape)
+
+    def covariates_at(self, features: FeatureMatrix, frame: int) -> np.ndarray:
+        """The (M, D) covariate window ending at ``frame`` (inclusive): the
+        one-lane case of :meth:`windows_at`."""
+        return self.windows_at([features], [frame])[0]
 
     def covariate_batch(
         self, features: FeatureMatrix, frames: Sequence[int]

@@ -8,8 +8,10 @@ is a one-lane run of it over a plain
 and the CI account — are both batchable:
 
 * **Inference** — every tick, all active lanes' collection windows are
-  stacked into one ``(num_streams, window, features)`` tensor and pushed
-  through a single :class:`~repro.core.batched.BatchedInference` call.
+  cut and standardized as one ``(num_streams, window, features)`` block
+  by a single :meth:`~repro.features.pipeline.CovariatePipeline.windows_at`
+  call and pushed through a single
+  :class:`~repro.core.batched.BatchedInference` call.
   Because the engine is batch-size invariant, each lane's scores are
   bitwise what a solo run would compute.
 * **Relaying** — the segments every lane wants relayed enter a shared
@@ -41,8 +43,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..cloud.faults import CIError
 from ..cloud.marshaller import FAILURE_POLICIES, MarshallingReport, StreamMarshaller
@@ -292,18 +292,13 @@ class FleetMarshaller:
     def _decide_tick(
         self, active: List[_LaneState], tick: int, lifecycle=None
     ) -> List[RelayRequest]:
-        """One stacked forward pass; returns every lane's relay requests."""
+        """One window cut and one stacked forward pass; returns every lane's
+        relay requests."""
         m = self.marshaller
-        windows = np.stack(
-            [
-                m.pipeline.covariates_at(state.features, state.frame)
-                for state in active
-            ]
-        )
+        frames = [state.frame for state in active]
+        windows = m.pipeline.windows_at([state.features for state in active], frames)
         output = m.inference.update(
-            windows,
-            [state.name for state in active],
-            [state.frame for state in active],
+            windows, [state.name for state in active], frames
         )
         observe("fleet.batch_size", len(active))
         # One batch-native decision pass for every lane: row i of the

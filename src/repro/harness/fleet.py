@@ -479,16 +479,9 @@ def continual_gate_sweep(
     lanes = build_fleet_lanes(experiment, num_streams, seed=seed)
     keys = [lane.name for lane in lanes]
     first = pipeline.min_frame()
-    ticks = [
-        np.stack(
-            [
-                pipeline.covariates_at(lane.features, first + t)
-                for lane in lanes
-            ]
-        )
-        for t in range(max_ticks)
-    ]
     end_frames = [[first + t] * num_streams for t in range(max_ticks)]
+    features = [lane.features for lane in lanes]
+    ticks = [pipeline.windows_at(features, frames) for frames in end_frames]
 
     windowed = BatchedInference(model)
     start = time.perf_counter()

@@ -19,6 +19,7 @@ from repro.core import (
     ENGINES,
     EventHit,
     EventHitConfig,
+    EventHitOutput,
     make_engine,
 )
 from repro.core.batched import rowstable_matmul
@@ -132,8 +133,10 @@ class TestWarmupAlignedEquivalence:
         c = np.zeros((1, cell.hidden_size))
         for t in range(M + 1):
             h, c = cell.step_numpy(frames[t : t + 1], h, c)
-        want = BatchedInference(model)._head_theta(h, frames[M : M + 1])
-        np.testing.assert_allclose(out.scores[0], want[0, :, 0], rtol=1e-9)
+        want = EventHitOutput.from_logits(
+            BatchedInference(model)._head_logits(h, frames[M : M + 1])
+        ).scores[0]
+        np.testing.assert_allclose(out.scores[0], want, rtol=1e-9)
 
 
 class TestChangeGating:

@@ -168,7 +168,6 @@ class TestLazyFrameScores:
         out = engine.predict(x)
         assert np.array_equal(out.scores, want[:, :, 0])
         assert np.array_equal(out.frame_scores, want[:, :, 1:])
-        assert np.array_equal(engine._head_theta(encoded, x[:, -1, :]), want)
 
     @pytest.mark.parametrize("keep", [0.0, 0.3, 1.0])
     def test_kept_pairs_equal_full_activation_rows(self, keep):
