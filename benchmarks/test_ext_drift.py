@@ -23,9 +23,8 @@ from repro.drift import MissRateCusum
 from repro.features import CovariatePipeline, FeatureExtractor
 from repro.lifecycle import LifecycleController, audited_outcome
 from repro.video import make_thumos
-from repro.video.arrivals import FixedCountArrivals
-from repro.video.datasets import EVENT_TYPES
-from repro.video.events import EventInstance, EventSchedule, EventType
+from repro.video.datasets import EVENT_TYPES, place_instances
+from repro.video.events import EventSchedule, EventType
 from repro.video.stream import VideoStream
 
 
@@ -37,17 +36,10 @@ def _drifted_stream(spec, seed=9):
         lead_time=60,
         predictability=0.35,
     )
-    rng = np.random.default_rng(seed)
-    count = spec.occurrences["E7"]
-    min_gap = int(drifted_type.duration_mean + 3 * drifted_type.duration_std) + 2
-    onsets = FixedCountArrivals(count, min_gap).sample(spec.length, rng)
-    instances = []
-    for i, onset in enumerate(onsets):
-        duration = drifted_type.sample_duration(rng)
-        nxt = onsets[i + 1] if i + 1 < len(onsets) else spec.length
-        end = min(onset + duration - 1, nxt - 1, spec.length - 1)
-        if end >= onset:
-            instances.append(EventInstance(onset, end, drifted_type))
+    instances = place_instances(
+        drifted_type, spec.occurrences["E7"], spec.length,
+        np.random.default_rng(seed),
+    )
     return (
         VideoStream(spec.length, EventSchedule(spec.length, instances), seed=seed),
         drifted_type,

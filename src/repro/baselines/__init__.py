@@ -1,14 +1,15 @@
 """All algorithms compared in §VI.B.
 
-EventHit decision rules: :class:`EHO`, :class:`EHC`, :class:`EHR`,
-:class:`EHCR`.  Reference points: :class:`Oracle` (OPT) and
+EventHit decision rules: :class:`EventHitRule`, the rule serving decides
+through, in the configurations :func:`EHO`, :func:`EHC`, :func:`EHR` and
+:func:`EHCR`.  Reference points: :class:`Oracle` (OPT) and
 :class:`BruteForce` (BF).  External baselines: :class:`CoxPredictor`
 (survival regression), :class:`VQSPredictor` (BlazeIt-style filter), and
 :class:`PointProcessPredictor` (APP-VAE surrogate).
 """
 
 from .base import OutputCache, Predictor
-from .variants import EHC, EHCR, EHO, EHR
+from .variants import EHC, EHCR, EHO, EHR, EventHitRule
 from .oracle import Oracle
 from .brute_force import BruteForce
 from .cox import CoxModel, CoxPredictor, fit_cox
@@ -18,6 +19,7 @@ from .appvae import PointProcessPredictor
 __all__ = [
     "Predictor",
     "OutputCache",
+    "EventHitRule",
     "EHO",
     "EHC",
     "EHR",

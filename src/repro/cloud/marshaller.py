@@ -24,7 +24,9 @@ import numpy as np
 from ..conformal.classify import ConformalClassifier
 from ..conformal.regress import ConformalRegressor
 from ..core.batched import BatchedInference
-from ..core.inference import extract_interval_segments, kept_intervals
+from ..core.inference import (
+    decide_existence, decide_intervals, extract_interval_segments,
+)
 from ..core.model import EventHit
 from ..features.extractors import FeatureMatrix
 from ..features.pipeline import CovariatePipeline
@@ -300,17 +302,17 @@ class StreamMarshaller:
         interval extraction, C-REGRESS widening) is row-independent, so
         row ``b``'s segments are exactly what a single-row call would
         return — the fleet marshaller decides all lanes in this one call.
-        In span mode each event gets at most one segment per row.  Both
+        The rule is :func:`~repro.core.inference.decide_intervals`, as for
+        the §VI.B variants; span mode gives each event at most one segment
+        per row, and segmented mode widens each run.  Both
         modes read occurrence scores only for the (row, event) pairs the
         existence decision keeps (:meth:`EventHitOutput.kept_frame_scores
         <repro.core.model.EventHitOutput.kept_frame_scores>`).
         """
-        if self.classifier is not None:
-            exists = self.classifier.predict(output, self.confidence)
-        else:
-            exists = output.scores >= self.tau1
-
         if self.segmented:
+            exists = decide_existence(
+                output, self.classifier, self.confidence, self.tau1
+            )
             rows, cols, scores = output.kept_frame_scores(exists)
             kept = [
                 runs
@@ -331,12 +333,14 @@ class StreamMarshaller:
                 ]
                 inc("marshal.widenings", sum(len(runs) for runs in kept))
         else:
+            predictions = decide_intervals(
+                output, self.classifier, self.regressor,
+                self.confidence, self.alpha, self.tau1, self.tau2,
+            )
+            exists = predictions.exists
+            starts, ends = predictions.starts, predictions.ends
             if self.regressor is not None:
                 inc("marshal.widenings", int(exists.sum()))
-                predictions = self.regressor.predict(output, exists, self.alpha)
-                starts, ends = predictions.starts, predictions.ends
-            else:
-                starts, ends = kept_intervals(output, exists, self.tau2)
             rows, cols = np.nonzero(exists)
             kept = [
                 [(s, e)]

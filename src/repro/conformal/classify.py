@@ -113,9 +113,3 @@ class ConformalClassifier:
         if not 0.0 <= confidence <= 1.0:
             raise ValueError("confidence must be in [0, 1]")
         return self.p_values(output) >= (1.0 - confidence)
-
-    def predict_from_covariates(
-        self, covariates: np.ndarray, confidence: float
-    ) -> np.ndarray:
-        """Convenience: run the model then :meth:`predict`."""
-        return self.predict(self.model.predict(covariates), confidence)

@@ -3,7 +3,8 @@
 * :class:`EventHit` — shared LSTM sub-network + K event-specific heads
   (§III, Fig. 3).
 * :class:`Trainer` / :func:`train_eventhit` — end-to-end L1+L2 training.
-* :func:`threshold_predictions` — Eq. 4–6 inference (the EHO rule).
+* :mod:`~repro.core.inference` — the one §VI.B decision rule (Eqs. 4–6,
+  or the conformal layers); :func:`threshold_predictions` is its EHO case.
 """
 
 from .batched import BatchedInference, rowstable_matmul

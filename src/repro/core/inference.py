@@ -12,26 +12,34 @@ single-frame interval at the argmax offset, so a positive existence
 prediction always yields a non-empty relay range (the paper leaves this
 corner unspecified; an empty range would silently drop the event).
 
-The Θ scores thresholded here come from the graph-free inference
-forwards (``EventHit.predict`` / ``BatchedInference.predict``, both on
-the fused numpy path of :mod:`repro.nn.fused`); thresholding itself is
-pure numpy and never touches the autograd graph.
+The §VI.B variants and the serving marshaller decide through one rule,
+:func:`decide_intervals`, which swaps in C-CLASSIFY and C-REGRESS when given.
+
+The Θ scores come from ``EventHit.predict`` (the fused kernels of
+:mod:`repro.nn.fused`) or a serving engine (the same kernels with every
+affine map through :func:`~repro.core.batched.rowstable_matmul`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from .model import EventHitOutput
+
+if TYPE_CHECKING:  # conformal imports core: type the layers only
+    from ..conformal.classify import ConformalClassifier
+    from ..conformal.regress import ConformalRegressor
 
 __all__ = [
     "PredictionBatch",
     "predict_existence",
     "extract_intervals",
     "kept_intervals",
+    "decide_existence",
+    "decide_intervals",
     "threshold_predictions",
     "extract_interval_segments",
     "segments_to_mask",
@@ -141,18 +149,47 @@ def kept_intervals(
     return starts, ends
 
 
+def decide_existence(
+    output: EventHitOutput,
+    classifier: Optional["ConformalClassifier"] = None,
+    confidence: float = 0.9,
+    tau1: float = 0.5,
+) -> np.ndarray:
+    """(B, K) L̂: C-CLASSIFY at c (Eq. 9) if given, else Eq. 4 at τ1.
+
+    τ1 is not range-checked: serving accepts a τ1 above 1 to keep nothing.
+    """
+    if classifier is not None:
+        return classifier.predict(output, confidence)
+    return output.scores >= tau1
+
+
+def decide_intervals(
+    output: EventHitOutput,
+    classifier: Optional["ConformalClassifier"] = None,
+    regressor: Optional["ConformalRegressor"] = None,
+    confidence: float = 0.9,
+    alpha: float = 0.9,
+    tau1: float = 0.5,
+    tau2: float = 0.5,
+) -> PredictionBatch:
+    """:func:`decide_existence`, then the kept pairs' intervals: C-REGRESS
+    at α (Eq. 11, from raw intervals at the regressor's own τ2) if given,
+    else Eqs. 5–6 at ``tau2``."""
+    exists = decide_existence(output, classifier, confidence, tau1)
+    if regressor is not None:
+        return regressor.predict(output, exists, alpha)
+    starts, ends = kept_intervals(output, exists, tau2)
+    return PredictionBatch(exists, starts, ends, output.horizon)
+
+
 def threshold_predictions(
     output: EventHitOutput, tau1: float = 0.5, tau2: float = 0.5
 ) -> PredictionBatch:
-    """The EHO decision rule: Eq. 4 existence + Eqs. 5–6 intervals."""
-    exists = predict_existence(output.scores, tau1)
-    starts, ends = extract_intervals(output.frame_scores, tau2)
-    return PredictionBatch(
-        exists=exists,
-        starts=np.where(exists, starts, 0),
-        ends=np.where(exists, ends, 0),
-        horizon=output.horizon,
-    )
+    """The EHO rule: :func:`decide_intervals` with neither conformal layer."""
+    if not 0.0 <= tau1 <= 1.0:
+        raise ValueError("tau1 must be in [0, 1]")
+    return decide_intervals(output, tau1=tau1, tau2=tau2)
 
 
 def extract_interval_segments(

@@ -22,10 +22,7 @@ import numpy as np
 from ..baselines import (
     BruteForce,
     CoxPredictor,
-    EHC,
-    EHCR,
-    EHO,
-    EHR,
+    EventHitRule,
     Oracle,
     PointProcessPredictor,
     TrainedVQSPredictor,
@@ -123,14 +120,13 @@ class Experiment:
         key = name.upper()
         if key in self._predictors:
             return self._predictors[key]
-        if key == "EHO":
-            predictor = EHO(self.model)
-        elif key == "EHC":
-            predictor = EHC(self.model, self.classifier)
-        elif key == "EHR":
-            predictor = EHR(self.model, self.regressor)
-        elif key == "EHCR":
-            predictor = EHCR(self.model, self.classifier, self.regressor)
+        if key in ("EHO", "EHC", "EHR", "EHCR"):
+            # The name spells the layers: EH + C(-CLASSIFY) + R(EGRESS).
+            predictor = EventHitRule(
+                self.model,
+                classifier=self.classifier if "C" in key[2:] else None,
+                regressor=self.regressor if "R" in key[2:] else None,
+            )
         elif key == "OPT":
             predictor = Oracle()
         elif key == "BF":

@@ -40,6 +40,7 @@ __all__ = [
     "make_breakfast",
     "make_dataset",
     "make_stream",
+    "place_instances",
     "build_schedule",
     "table1_stats",
     "GROUP1_EVENTS",
@@ -217,28 +218,35 @@ def make_dataset(name: str, scale: float = 1.0) -> DatasetSpec:
     return factory(scale)
 
 
-def build_schedule(spec: DatasetSpec, rng: np.random.Generator) -> EventSchedule:
-    """Place event instances for every type of ``spec`` in one stream.
+def place_instances(
+    event_type: EventType, count: int, length: int, rng: np.random.Generator
+) -> List[EventInstance]:
+    """Place ``count`` instances of ``event_type`` in a ``length``-frame stream.
 
     Onsets come from :class:`FixedCountArrivals` with a minimum gap wide
-    enough that consecutive instances of the same type cannot overlap even
-    at +3σ duration; durations are then drawn per instance and clamped to
-    the gap to keep the schedule valid in the tail cases.
+    enough that consecutive instances cannot overlap even at +3σ duration;
+    each duration is then clamped to the gap for the tail cases.
     """
+    min_gap = int(event_type.duration_mean + 3 * event_type.duration_std) + 2
+    onsets = FixedCountArrivals(count=count, min_gap=min_gap).sample(length, rng)
+    instances: List[EventInstance] = []
+    for index, onset in enumerate(onsets):
+        duration = event_type.sample_duration(rng)
+        next_onset = onsets[index + 1] if index + 1 < len(onsets) else length
+        end = min(onset + duration - 1, next_onset - 1, length - 1)
+        if end >= onset:
+            instances.append(EventInstance(onset, end, event_type))
+    return instances
+
+
+def build_schedule(spec: DatasetSpec, rng: np.random.Generator) -> EventSchedule:
+    """Place event instances for every type of ``spec`` in one stream, one
+    type after another from the same ``rng`` (:func:`place_instances`)."""
     instances: List[EventInstance] = []
     for event_id in spec.event_ids:
-        event_type = EVENT_TYPES[event_id]
-        count = spec.occurrences[event_id]
-        min_gap = int(event_type.duration_mean + 3 * event_type.duration_std) + 2
-        process = FixedCountArrivals(count=count, min_gap=min_gap)
-        onsets = process.sample(spec.length, rng)
-        for index, onset in enumerate(onsets):
-            duration = event_type.sample_duration(rng)
-            next_onset = onsets[index + 1] if index + 1 < len(onsets) else spec.length
-            end = min(onset + duration - 1, next_onset - 1, spec.length - 1)
-            if end < onset:
-                continue
-            instances.append(EventInstance(onset, end, event_type))
+        instances += place_instances(
+            EVENT_TYPES[event_id], spec.occurrences[event_id], spec.length, rng
+        )
     return EventSchedule(spec.length, instances)
 
 

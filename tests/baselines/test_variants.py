@@ -1,9 +1,9 @@
-"""Tests for the EHO/EHC/EHR/EHCR decision-rule variants."""
+"""Tests for the EHO/EHC/EHR/EHCR configurations of the decision rule."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import EHC, EHCR, EHO, EHR
+from repro.baselines import EHC, EHCR, EHO, EHR, EventHitRule
 from repro.conformal import ConformalClassifier, ConformalRegressor
 from repro.core import EventHitConfig, train_eventhit
 from repro.data import RecordSet
@@ -105,6 +105,8 @@ class TestEHC:
         model, classifier, _, test = stack
         with pytest.raises(TypeError):
             EHC(model, classifier).predict(test, alpha=0.9)
+        with pytest.raises(TypeError):  # C-CLASSIFY replaces τ1
+            EHC(model, classifier).predict(test, tau1=0.5)
 
 
 class TestEHR:
@@ -120,6 +122,11 @@ class TestEHR:
         wide = ehr.predict(test, alpha=0.95)
         assert wide.predicted_frames().sum() >= narrow.predicted_frames().sum()
         assert recall(wide, test) >= recall(narrow, test)
+
+    def test_rejects_unknown_knobs(self, stack):
+        model, _, regressor, test = stack
+        with pytest.raises(TypeError):  # C-REGRESS extracts at its own τ2
+            EHR(model, regressor).predict(test, tau2=0.5)
 
     def test_existence_same_as_eho(self, stack):
         model, _, regressor, test = stack
@@ -169,3 +176,25 @@ class TestEHCR:
         model, classifier, regressor, test = stack
         with pytest.raises(TypeError):
             EHCR(model, classifier, regressor).predict(test, tau=0.5)
+
+
+class TestEventHitRule:
+    def test_layers_name_the_variant_and_fix_its_knobs(self, stack):
+        model, classifier, regressor, _ = stack
+        built = {
+            "EHO": (EHO(model, tau1=0.3), {"tau1": 0.3, "tau2": 0.5}),
+            "EHC": (EHC(model, classifier), {"confidence": 0.9, "tau2": 0.5}),
+            "EHR": (EHR(model, regressor, alpha=0.7), {"alpha": 0.7, "tau1": 0.5}),
+            "EHCR": (EHCR(model, classifier, regressor),
+                     {"confidence": 0.9, "alpha": 0.9}),
+        }
+        for name, (rule, knobs) in built.items():
+            assert isinstance(rule, EventHitRule)
+            assert rule.name == name
+            assert rule.knobs == knobs
+
+    def test_tau1_range_checked_offline(self, stack):
+        model, _, regressor, test = stack
+        for rule in (EHO(model), EHR(model, regressor)):
+            with pytest.raises(ValueError):
+                rule.predict(test, tau1=2.0)

@@ -122,13 +122,6 @@ class TestConformalClassifier:
         truth = test.labels > 0
         assert predicted[truth].mean() >= 0.78
 
-    def test_predict_from_covariates(self, trained):
-        model, calib, test = trained
-        clf = ConformalClassifier(model).calibrate(calib)
-        a = clf.predict_from_covariates(test.covariates, 0.8)
-        b = clf.predict(model.predict(test.covariates), 0.8)
-        np.testing.assert_array_equal(a, b)
-
 
 class TestConformalRegressor:
     def test_requires_calibration(self, trained):

@@ -12,6 +12,7 @@ from repro.core import (
     predict_existence,
     threshold_predictions,
 )
+from repro.core.inference import decide_intervals
 
 
 class TestPredictExistence:
@@ -141,6 +142,14 @@ class TestThresholdPredictions:
         batch = threshold_predictions(EventHitOutput(scores, frames))
         assert batch.exists[0, 0]
         assert (batch.starts[0, 0], batch.ends[0, 0]) == (1, 4)
+
+    def test_tau1_range_checked_here_not_in_the_shared_rule(self):
+        # Serving passes the shared rule a τ1 above 1 to keep nothing; a
+        # user passing it offline gets an error.
+        out = EventHitOutput(np.array([[1.0]]), np.full((1, 1, 4), 0.5))
+        with pytest.raises(ValueError):
+            threshold_predictions(out, tau1=2.0)
+        assert not decide_intervals(out, tau1=2.0).exists.any()
 
 
 def where_min_max_intervals(frame_scores, tau2):

@@ -13,9 +13,8 @@ from repro.drift import MissRateCusum
 from repro.features import CovariatePipeline, FeatureExtractor
 from repro.lifecycle import AuditBuffer, LifecycleController, audited_outcome
 from repro.video import make_thumos
-from repro.video.arrivals import FixedCountArrivals
-from repro.video.datasets import EVENT_TYPES
-from repro.video.events import EventInstance, EventSchedule, EventType
+from repro.video.datasets import EVENT_TYPES, place_instances
+from repro.video.events import EventSchedule, EventType
 from repro.video.stream import VideoStream
 
 CONFIG = EventHitConfig(
@@ -241,17 +240,10 @@ def drifted_stream(spec, seed=9):
         lead_time=60,  # trained world had 440
         predictability=0.35,
     )
-    rng = np.random.default_rng(zlib.crc32(b"drift") + seed)
-    count = spec.occurrences["E7"]
-    min_gap = int(drifted_type.duration_mean + 3 * drifted_type.duration_std) + 2
-    onsets = FixedCountArrivals(count, min_gap).sample(spec.length, rng)
-    instances = []
-    for i, onset in enumerate(onsets):
-        duration = drifted_type.sample_duration(rng)
-        nxt = onsets[i + 1] if i + 1 < len(onsets) else spec.length
-        end = min(onset + duration - 1, nxt - 1, spec.length - 1)
-        if end >= onset:
-            instances.append(EventInstance(onset, end, drifted_type))
+    instances = place_instances(
+        drifted_type, spec.occurrences["E7"], spec.length,
+        np.random.default_rng(zlib.crc32(b"drift") + seed),
+    )
     schedule = EventSchedule(spec.length, instances)
     return VideoStream(spec.length, schedule, seed=seed, name="drifted"), drifted_type
 
