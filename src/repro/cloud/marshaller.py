@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..conformal.classify import ConformalClassifier
 from ..conformal.regress import ConformalRegressor
 from ..core.batched import BatchedInference
@@ -307,7 +305,10 @@ class StreamMarshaller:
         per row, and segmented mode widens each run.  Both
         modes read occurrence scores only for the (row, event) pairs the
         existence decision keeps (:meth:`EventHitOutput.kept_frame_scores
-        <repro.core.model.EventHitOutput.kept_frame_scores>`).
+        <repro.core.model.EventHitOutput.kept_frame_scores>`), and span
+        mode reads the decision's kept-pair form
+        (:meth:`~repro.core.inference.PredictionBatch.kept`) without
+        building ``(B, K)`` interval arrays.
         """
         if self.segmented:
             exists = decide_existence(
@@ -338,14 +339,10 @@ class StreamMarshaller:
                 self.confidence, self.alpha, self.tau1, self.tau2,
             )
             exists = predictions.exists
-            starts, ends = predictions.starts, predictions.ends
+            rows, cols, starts, ends = predictions.kept()
             if self.regressor is not None:
-                inc("marshal.widenings", int(exists.sum()))
-            rows, cols = np.nonzero(exists)
-            kept = [
-                [(s, e)]
-                for s, e in zip(starts[rows, cols].tolist(), ends[rows, cols].tolist())
-            ]
+                inc("marshal.widenings", len(rows))
+            kept = [[(s, e)] for s, e in zip(starts.tolist(), ends.tolist())]
         batch, num_events = exists.shape
         segments = [[[] for _ in range(num_events)] for _ in range(batch)]
         for b, k, runs in zip(rows.tolist(), cols.tolist(), kept):

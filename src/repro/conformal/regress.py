@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.inference import PredictionBatch, extract_intervals, kept_intervals
+from ..core.inference import PredictionBatch, extract_intervals, kept_pair_intervals
 from ..core.model import EventHit, EventHitOutput
 from ..data.records import RecordSet
 from ..obs import span
@@ -125,8 +125,7 @@ class ConformalRegressor:
         """
         return self._widened(
             predictions.exists.copy(),
-            predictions.starts,
-            predictions.ends,
+            *predictions.kept(),
             predictions.horizon,
             alpha,
         )
@@ -134,19 +133,22 @@ class ConformalRegressor:
     def _widened(
         self,
         exists: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
         starts: np.ndarray,
         ends: np.ndarray,
         horizon: int,
         alpha: float,
     ) -> PredictionBatch:
-        q = self.quantiles(alpha)
-        widened_starts = np.maximum(1, starts - q[None, :, 0].astype(int))
-        widened_ends = np.minimum(horizon, ends + q[None, :, 1].astype(int))
-        return PredictionBatch(
-            exists=exists,
-            starts=np.where(exists, widened_starts, 0),
-            ends=np.where(exists, widened_ends, 0),
-            horizon=horizon,
+        """The kept pairs' intervals widened by their events' quantiles."""
+        q = self.quantiles(alpha).astype(int)
+        return PredictionBatch.from_kept(
+            exists,
+            rows,
+            cols,
+            np.maximum(1, starts - q[cols, 0]),
+            np.minimum(horizon, ends + q[cols, 1]),
+            horizon,
         )
 
     def predict(
@@ -158,8 +160,10 @@ class ConformalRegressor:
         """Full C-REGRESS pass: extract raw intervals, then widen.
 
         Intervals are extracted and widened only for the (row, event)
-        pairs ``exists`` keeps (:func:`~repro.core.inference.kept_intervals`);
-        the rest read zero, as they always have.
+        pairs ``exists`` keeps
+        (:func:`~repro.core.inference.kept_pair_intervals`), and the batch
+        is built in kept-pair form; the rest read zero, as they always
+        have.
 
         Parameters
         ----------
@@ -172,7 +176,9 @@ class ConformalRegressor:
             Coverage level α.
         """
         exists = np.array(exists, dtype=bool)
-        if exists.shape != output.scores.shape:
-            raise ValueError("exists must be shaped (B, K) like the scores")
-        starts, ends = kept_intervals(output, exists, self.tau2)
-        return self._widened(exists, starts, ends, output.horizon, alpha)
+        return self._widened(
+            exists,
+            *kept_pair_intervals(output, exists, self.tau2),
+            output.horizon,
+            alpha,
+        )

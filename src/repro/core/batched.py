@@ -23,17 +23,21 @@ never on the batch size.  The guarantee is what makes a fleet run
 byte-identical to N sequential runs; it is pinned by
 ``tests/core/test_batched.py`` and ``tests/core/test_rowstable_guard.py``.
 
-The engine reads the model's parameters live (no copies), so a retrained
-or fine-tuned model is served without rebuilding the engine.  Inference is
-always in eval semantics (dropout off) and never touches the autograd
-graph, which also makes the single-stream path measurably faster than
-``EventHit.predict``.
+The engine prepares the weights it runs once per bind, on the first
+forward: the LSTM's permuted, sign-folded projections and each head
+layer's weights and biases stacked over the K heads, so the heads run as
+one stack of GEMMs per layer position.  :meth:`BatchedInference.rebind`
+returns a fresh engine; a caller that changes the bound model's
+parameters in place calls :meth:`BatchedInference.refresh_weights`.
+Inference is always in eval semantics (dropout off) and never touches the
+autograd graph, which also makes the single-stream path measurably faster
+than ``EventHit.predict``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from ..nn import (
     Sequential,
     gru_forward_numpy,
     lstm_forward_numpy,
+    prepare_lstm_weights,
 )
 from ..nn.layers import ReLU, Sigmoid, Tanh
 from .model import EventHit, EventHitOutput, _sigmoid
@@ -95,6 +100,77 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return x * (x > 0).astype(np.float64)
 
 
+#: Eval-mode activations by layer type.
+_ACTIVATIONS = {Tanh: np.tanh, Sigmoid: _sigmoid, ReLU: _relu}
+
+
+class _StackedLinear(NamedTuple):
+    """One head ``Linear`` stacked over the K heads."""
+
+    weight: np.ndarray  # (K, 1, I, O)
+    bias: Optional[np.ndarray]  # (K, 1, 1, O)
+
+
+_HeadOp = Union[_StackedLinear, Callable[[np.ndarray], np.ndarray]]
+
+
+class _Weights(NamedTuple):
+    """What an engine prepares once per bind."""
+
+    #: LSTM: the :func:`~repro.nn.prepare_lstm_weights` triple; GRU: the
+    #: cell's six arrays; mean encoder: empty.
+    encoder: Tuple[np.ndarray, ...]
+    #: The heads' layers up to the output sigmoid, each ``Linear`` stacked
+    #: over K and each activation as its eval function.
+    heads: List[_HeadOp]
+
+
+def _stack_heads(heads: Sequence) -> List[_HeadOp]:
+    """Stack the K heads layer position by layer position.
+
+    Every head must be an ``MLP`` ending in ``Linear → Sigmoid`` (as
+    EventHit builds them), and all heads must have the same layers with
+    the same shapes; dropout is dropped (inference is eval-mode).  The
+    output sigmoid is left off: the engine hands out Θ logits.
+    """
+    per_head = []
+    for head in heads:
+        layers = head.net._layers if isinstance(head, MLP) else []
+        if not (
+            len(layers) >= 2
+            and isinstance(layers[-2], Linear)
+            and isinstance(layers[-1], Sigmoid)
+        ):
+            raise TypeError(
+                "BatchedInference needs every head to end in Linear -> Sigmoid"
+            )
+        per_head.append([l for l in layers[:-1] if not isinstance(l, Dropout)])
+    if len({tuple(map(type, layers)) for layers in per_head}) > 1:
+        raise TypeError("BatchedInference needs every head to have the same layers")
+    ops: List[_HeadOp] = []
+    for position in zip(*per_head):
+        first = position[0]
+        if isinstance(first, Linear):
+            if len({(layer.weight.shape, layer.bias is None) for layer in position}) > 1:
+                raise TypeError(
+                    "BatchedInference needs every head's layers to have the same shapes"
+                )
+            weight = np.stack([layer.weight.data for layer in position])[:, None]
+            bias = (
+                None
+                if first.bias is None
+                else np.stack([layer.bias.data for layer in position])[:, None, None]
+            )
+            ops.append(_StackedLinear(weight, bias))
+        elif type(first) in _ACTIVATIONS:
+            ops.append(_ACTIVATIONS[type(first)])
+        else:
+            raise TypeError(
+                f"BatchedInference cannot evaluate layer {type(first).__name__}"
+            )
+    return ops
+
+
 class BatchedInference:
     """Run EventHit forward passes over stacked per-stream windows.
 
@@ -105,17 +181,20 @@ class BatchedInference:
         (``lstm``, ``gru``, ``mean``) are handled.
 
     The engine is a pure-numpy re-evaluation of the model graph: it walks
-    the same ``Sequential``/``MLP`` structure the model holds, reading each
-    layer's parameters in place, with every matmul routed through
-    :func:`rowstable_matmul`.  Outputs therefore agree with
-    ``EventHit.predict`` to floating-point round-off (~1 ulp) and agree
-    with *themselves* bitwise across any batch split.
+    the same ``Sequential``/``MLP`` structure the model holds, with every
+    matmul routed through :func:`rowstable_matmul` or, for the K heads, one
+    ``np.matmul`` over the same ``(TILE_ROWS, I)`` tiles per head.  The
+    recurrent encoder's and the heads' weights come from a cache built on
+    the first forward (:meth:`refresh_weights`).  Outputs therefore agree
+    with ``EventHit.predict`` to floating-point round-off (~1 ulp) and
+    agree with *themselves* bitwise across any batch split.
     """
 
     def __init__(self, model: EventHit):
         if not isinstance(model, EventHit):
             raise TypeError("BatchedInference serves EventHit models")
         self.model = model
+        self._cache: Optional[_Weights] = None
 
     def rebind(self, model: EventHit) -> "BatchedInference":
         """A fresh engine of this engine's kind bound to ``model``.
@@ -124,9 +203,47 @@ class BatchedInference:
         engine class the deployment selected (windowed, continual, gated)
         without knowing which — stateful engines override this to carry
         their configuration across the swap while dropping all carried
-        state (the post-swap warm-up is the state rebase).
+        state (the post-swap warm-up is the state rebase).  The new
+        engine prepares ``model``'s weights on its first forward.
         """
         return type(self)(model)
+
+    # ------------------------------------------------------------------
+    # Weight cache / lifecycle
+    # ------------------------------------------------------------------
+    def refresh_weights(self) -> None:
+        """Drop the prepared weight cache; the next forward rebuilds it.
+
+        Must be called after the bound model's parameters change in place
+        (the hot-swap path goes through :meth:`rebind`, which starts from
+        an empty cache).  Carried lane state is *not* touched — callers
+        that retrain in place must also :meth:`reset`.
+        """
+        self._cache = None
+
+    def _weights(self) -> _Weights:
+        """The prepared weight cache, built from the bound model on first use."""
+        if self._cache is None:
+            model = self.model
+            if model.encoder_kind == "lstm":
+                cell = model.encoder.cell
+                encoder = prepare_lstm_weights(
+                    cell.weight_x.data, cell.weight_h.data, cell.bias.data
+                )
+            elif model.encoder_kind == "gru":
+                cell = model.encoder.cell
+                encoder = (
+                    cell.weight_x_gates.data,
+                    cell.weight_h_gates.data,
+                    cell.bias_gates.data,
+                    cell.weight_x_cand.data,
+                    cell.weight_h_cand.data,
+                    cell.bias_cand.data,
+                )
+            else:
+                encoder = ()
+            self._cache = _Weights(encoder, _stack_heads(model.heads()))
+        return self._cache
 
     # ------------------------------------------------------------------
     # Serving protocol: the marshalling loop calls only these two
@@ -160,12 +277,8 @@ class BatchedInference:
             if layer.bias is not None:
                 out += layer.bias.data
             return out
-        if isinstance(layer, Tanh):
-            return np.tanh(x)
-        if isinstance(layer, Sigmoid):
-            return _sigmoid(x)
-        if isinstance(layer, ReLU):
-            return _relu(x)
+        if type(layer) in _ACTIVATIONS:
+            return _ACTIVATIONS[type(layer)](x)
         if isinstance(layer, Dropout):
             return x  # inference is always eval-mode
         if isinstance(layer, MLP):
@@ -181,33 +294,22 @@ class BatchedInference:
             x = self._eval_layer(layer, x)
         return x
 
-    def _eval_lstm(self, encoder: LSTM, x: np.ndarray) -> np.ndarray:
-        # Delegate to the fused sequence kernel with the row-stable
-        # contraction injected.  Every non-matmul op in the kernel is
-        # elementwise per row, so batch-size invariance is preserved while
-        # the recurrence reuses the fused path's hoisted input projection
-        # and preallocated gate buffers.
-        cell = encoder.cell
+    def _eval_lstm(self, x: np.ndarray, return_state: bool = False):
+        # The fused sequence kernel on the cached prepared weights, with
+        # the row-stable contraction injected.  Every non-matmul op in the
+        # kernel is elementwise per row, so batch-size invariance is
+        # preserved while the recurrence reuses the fused path's hoisted
+        # input projection and preallocated gate buffers.
         return lstm_forward_numpy(
             x,
-            cell.weight_x.data,
-            cell.weight_h.data,
-            cell.bias.data,
+            *self._weights().encoder,
             matmul=rowstable_matmul,
+            return_state=return_state,
+            prepared=True,
         )
 
-    def _eval_gru(self, encoder: GRU, x: np.ndarray) -> np.ndarray:
-        cell = encoder.cell
-        return gru_forward_numpy(
-            x,
-            cell.weight_x_gates.data,
-            cell.weight_h_gates.data,
-            cell.bias_gates.data,
-            cell.weight_x_cand.data,
-            cell.weight_h_cand.data,
-            cell.bias_cand.data,
-            matmul=rowstable_matmul,
-        )
+    def _eval_gru(self, x: np.ndarray) -> np.ndarray:
+        return gru_forward_numpy(x, *self._weights().encoder, matmul=rowstable_matmul)
 
     # ------------------------------------------------------------------
     def predict(self, covariates: np.ndarray) -> EventHitOutput:
@@ -240,9 +342,9 @@ class BatchedInference:
 
         last_vector = x[:, -1, :]
         if model.encoder_kind == "lstm":
-            encoded = self._eval_lstm(model.encoder, x)
+            encoded = self._eval_lstm(x)
         elif model.encoder_kind == "gru":
-            encoded = self._eval_gru(model.encoder, x)
+            encoded = self._eval_gru(x)
         else:  # mean encoder: Tensor.mean == sum * (1/count)
             pooled = x.sum(axis=1) * (1.0 / x.shape[1])
             encoded = self._eval_layer(model.encoder, pooled)
@@ -258,38 +360,34 @@ class BatchedInference:
         the windowed path reuses it over whole-window encodings, with
         bitwise-equal rows whenever the encodings are bitwise equal.
 
-        Each head must end in ``Linear → Sigmoid`` (as EventHit builds
-        them): its last ``Linear`` runs whole (the GEMM shapes, and so the
-        bits, are the same for every batch) and writes straight into the
-        head's contiguous block of one head-major ``(K, B, H+1)`` buffer;
-        the result is that buffer's ``(B, K, H+1)`` transposed view.  The
-        output sigmoid is *not* applied: :meth:`EventHitOutput.from_logits`
-        activates the existence column at once and the occurrence columns
-        only where they are read.
+        The heads run as one stack (:func:`_stack_heads`): ``z ⊕ X_n`` is
+        cut into zero-padded ``(TILE_ROWS, I)`` tiles once, and each layer
+        position is one ``np.matmul`` of the ``(K, tiles, TILE_ROWS, I)``
+        block against the ``(K, 1, I, O)`` weight stack, then one bias add
+        and one activation over the whole block.  Every BLAS call is the
+        ``(TILE_ROWS, I) @ (I, O)`` GEMM :func:`rowstable_matmul` makes for
+        one head, so the bits are those of a head-by-head pass.  The last
+        layer's block is the head-major ``(K, B, H+1)`` Θ buffer; the
+        result is its ``(B, K, H+1)`` transposed view.  The output sigmoid
+        is *not* applied: :meth:`EventHitOutput.from_logits` activates the
+        existence column at once and the occurrence columns only where
+        they are read.
         """
+        heads = self._weights().heads
         z = self._eval_sequential(self.model.shared, encoded)
-        head_input = np.concatenate([z, last_vector], axis=1)
-        heads = self.model.heads()
-        theta = np.empty(
-            (len(heads), head_input.shape[0], self.model.config.horizon + 1)
-        )
-        for k, head in enumerate(heads):
-            layers = head.net._layers if isinstance(head, MLP) else []
-            if not (
-                len(layers) >= 2
-                and isinstance(layers[-2], Linear)
-                and isinstance(layers[-1], Sigmoid)
-            ):
-                raise TypeError(
-                    "BatchedInference needs every head to end in Linear -> Sigmoid"
-                )
-            hidden = head_input
-            for layer in layers[:-2]:
-                hidden = self._eval_layer(layer, hidden)
-            last = layers[-2]
-            product = rowstable_matmul(hidden, last.weight.data)
-            if last.bias is not None:
-                np.add(product, last.bias.data, out=theta[k])
+        batch, latent = z.shape
+        tiles = -(-batch // TILE_ROWS)
+        # z ⊕ X_n, written straight into the padded tiles.
+        hidden = np.zeros((tiles * TILE_ROWS, latent + last_vector.shape[1]))
+        hidden[:batch, :latent] = z
+        hidden[:batch, latent:] = last_vector
+        hidden = hidden.reshape(1, tiles, TILE_ROWS, -1)
+        for op in heads:
+            if isinstance(op, _StackedLinear):
+                hidden = np.matmul(hidden, op.weight)
+                if op.bias is not None:
+                    hidden += op.bias
             else:
-                theta[k] = product
+                hidden = op(hidden)
+        theta = hidden.reshape(len(hidden), tiles * TILE_ROWS, -1)[:, :batch]
         return theta.transpose(1, 0, 2)

@@ -55,12 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import (
-    gru_step_numpy,
-    lstm_forward_numpy,
-    lstm_step_numpy,
-    prepare_lstm_weights,
-)
+from ..nn import gru_step_numpy, lstm_step_numpy
 from ..obs import inc
 from .batched import BatchedInference, rowstable_matmul
 from .model import EventHit, EventHitOutput
@@ -96,10 +91,10 @@ class ContinualInference(BatchedInference):
         (∞-norm, per feature) of the last consumed frame's features
         reuses the lane's cached scores without touching state.
 
-    Unlike the windowed engine, which reads model parameters live on every
-    call, this engine caches the permuted, sign-folded weight projections
-    at bind time (they are rebuilt by :meth:`rebind` /
-    :meth:`refresh_weights` — the lifecycle controller's hot-swap path).
+    Both engines share one prepared-weight cache, built on the first
+    forward; :meth:`rebind` (the lifecycle controller's hot-swap path)
+    starts a fresh one and :meth:`refresh_weights` drops it after an
+    in-place parameter change.
     """
 
     def __init__(self, model: EventHit, gate_delta: Optional[float] = None):
@@ -124,36 +119,6 @@ class ContinualInference(BatchedInference):
         self._end = np.empty(0, dtype=np.int64)  # last consumed frame index
         self._gate_hits = np.empty(0, dtype=np.int64)
         self._computes = np.empty(0, dtype=np.int64)
-        self.refresh_weights()
-
-    # ------------------------------------------------------------------
-    # Weight cache / lifecycle
-    # ------------------------------------------------------------------
-    def refresh_weights(self) -> None:
-        """Rebuild the prepared weight cache from the bound model.
-
-        Must be called after the encoder's parameters change in place
-        (the hot-swap path goes through :meth:`rebind`, which starts from
-        a fresh cache).  Carried lane state is *not* touched — callers
-        that retrain in place must also :meth:`reset`.
-        """
-        model = self.model
-        if model.encoder_kind == "lstm":
-            cell = model.encoder.cell
-            # The preparation lstm_forward_numpy applies per call.
-            self._prepared_weights = prepare_lstm_weights(
-                cell.weight_x.data, cell.weight_h.data, cell.bias.data
-            )
-        else:  # gru
-            cell = model.encoder.cell
-            self._prepared_weights = (
-                cell.weight_x_gates.data,
-                cell.weight_h_gates.data,
-                cell.bias_gates.data,
-                cell.weight_x_cand.data,
-                cell.weight_h_cand.data,
-                cell.bias_cand.data,
-            )
 
     def rebind(self, model: EventHit) -> "ContinualInference":
         """Fresh engine for ``model`` with this engine's gating config.
@@ -302,17 +267,11 @@ class ContinualInference(BatchedInference):
         warm = np.flatnonzero(action == _WARMUP)
         if len(warm):
             if is_lstm:
-                cell = self.model.encoder.cell
-                h_rows[lanes(warm)], c_rows[lanes(warm)] = lstm_forward_numpy(
-                    x[lanes(warm)],
-                    cell.weight_x.data,
-                    cell.weight_h.data,
-                    cell.bias.data,
-                    matmul=rowstable_matmul,
-                    return_state=True,
+                h_rows[lanes(warm)], c_rows[lanes(warm)] = self._eval_lstm(
+                    x[lanes(warm)], return_state=True
                 )
             else:
-                h_rows[lanes(warm)] = self._eval_gru(self.model.encoder, x[lanes(warm)])
+                h_rows[lanes(warm)] = self._eval_gru(x[lanes(warm)])
             inc("continual.warmups", len(warm))
 
         # Step rows, grouped by stride so each group advances in lock-step
@@ -328,6 +287,7 @@ class ContinualInference(BatchedInference):
             )
         else:
             groups = []
+        prepared = self._weights().encoder
         for rows, lane_stride in groups:
             h_g = self._h[index[rows]]
             c_g = self._c[index[rows]] if is_lstm else None
@@ -338,12 +298,12 @@ class ContinualInference(BatchedInference):
             for frame in frames:
                 if is_lstm:
                     h_g, c_g = lstm_step_numpy(
-                        frame, h_g, c_g, *self._prepared_weights,
+                        frame, h_g, c_g, *prepared,
                         matmul=rowstable_matmul,
                     )
                 else:
                     h_g = gru_step_numpy(
-                        frame, h_g, *self._prepared_weights,
+                        frame, h_g, *prepared,
                         matmul=rowstable_matmul,
                     )
             h_rows[lanes(rows)] = h_g

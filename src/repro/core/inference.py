@@ -22,7 +22,6 @@ affine map through :func:`~repro.core.batched.rowstable_matmul`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
@@ -37,7 +36,7 @@ __all__ = [
     "PredictionBatch",
     "predict_existence",
     "extract_intervals",
-    "kept_intervals",
+    "kept_pair_intervals",
     "decide_existence",
     "decide_intervals",
     "threshold_predictions",
@@ -46,34 +45,93 @@ __all__ = [
 ]
 
 
-@dataclass
 class PredictionBatch:
     """Batched predictions: existence set L̂ and intervals T̂.
 
-    ``starts``/``ends`` are horizon offsets in [1, H]; rows/columns where
-    ``exists`` is False carry zeros and represent "no frames relayed".
+    ``starts``/``ends`` are ``(B, K)`` horizon offsets in [1, H];
+    rows/columns where ``exists`` is False carry zeros and represent "no
+    frames relayed".
+
+    A batch built :meth:`from_kept` (the serving decision) holds only the
+    kept pairs' intervals, validated on those N values; the ``(B, K)``
+    arrays are materialized on first read.  :meth:`kept` gives the
+    kept-pair form of either kind of batch.
     """
 
-    exists: np.ndarray  # (B, K) bool
-    starts: np.ndarray  # (B, K) int
-    ends: np.ndarray  # (B, K) int
-    horizon: int
-
-    def __post_init__(self) -> None:
-        self.exists = np.asarray(self.exists, dtype=bool)
-        self.starts = np.asarray(self.starts, dtype=int)
-        self.ends = np.asarray(self.ends, dtype=int)
-        if self.exists.shape != self.starts.shape or self.starts.shape != self.ends.shape:
+    def __init__(
+        self,
+        exists: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        horizon: int,
+    ):
+        exists = np.asarray(exists, dtype=bool)
+        starts = np.asarray(starts, dtype=int)
+        ends = np.asarray(ends, dtype=int)
+        if exists.shape != starts.shape or starts.shape != ends.shape:
             raise ValueError("exists/starts/ends shapes must match")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        on = self.exists
-        if np.any(self.starts[on] < 1) or np.any(self.ends[on] > self.horizon):
-            raise ValueError("predicted offsets must lie in [1, H]")
-        if np.any(self.starts[on] > self.ends[on]):
-            raise ValueError("start offsets must be <= end offsets")
-        self.starts = np.where(self.exists, self.starts, 0)
-        self.ends = np.where(self.exists, self.ends, 0)
+        _check_offsets(starts[exists], ends[exists], horizon)
+        self.exists = exists
+        self.horizon = horizon
+        self._starts = np.where(exists, starts, 0)
+        self._ends = np.where(exists, ends, 0)
+        self._kept: Optional[Tuple[np.ndarray, ...]] = None
+
+    @classmethod
+    def from_kept(
+        cls,
+        exists: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        horizon: int,
+    ) -> "PredictionBatch":
+        """A batch from the kept pairs' intervals alone.
+
+        ``rows``/``cols`` index ``exists``'s True entries in row-major
+        order (``np.nonzero(exists)``) and ``starts``/``ends`` are those
+        N pairs' offsets.
+        """
+        exists = np.asarray(exists, dtype=bool)
+        if exists.ndim != 2:
+            raise ValueError("exists must be (B, K)")
+        if not len(rows) == len(cols) == len(starts) == len(ends):
+            raise ValueError("rows/cols/starts/ends lengths must match")
+        _check_offsets(starts, ends, horizon)
+        batch = cls.__new__(cls)
+        batch.exists = exists
+        batch.horizon = horizon
+        batch._starts = batch._ends = None
+        batch._kept = (rows, cols, starts, ends)
+        return batch
+
+    def kept(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, starts, ends)`` of the pairs ``exists`` keeps, in
+        row-major order."""
+        if self._kept is None:
+            rows, cols = np.nonzero(self.exists)
+            self._kept = (rows, cols, self._starts[rows, cols], self._ends[rows, cols])
+        return self._kept
+
+    def _materialize(self) -> None:
+        rows, cols, starts, ends = self._kept
+        self._starts = np.zeros(self.exists.shape, dtype=int)
+        self._ends = np.zeros(self.exists.shape, dtype=int)
+        self._starts[rows, cols] = starts
+        self._ends[rows, cols] = ends
+
+    @property
+    def starts(self) -> np.ndarray:
+        if self._starts is None:
+            self._materialize()
+        return self._starts
+
+    @property
+    def ends(self) -> np.ndarray:
+        if self._ends is None:
+            self._materialize()
+        return self._ends
 
     @property
     def batch_size(self) -> int:
@@ -87,9 +145,15 @@ class PredictionBatch:
         """(B, K) count of frames each prediction would relay to the CI."""
         return np.where(self.exists, self.ends - self.starts + 1, 0)
 
-    def with_intervals(self, starts: np.ndarray, ends: np.ndarray) -> "PredictionBatch":
-        """Copy with replaced intervals (used by C-REGRESS widening)."""
-        return PredictionBatch(self.exists.copy(), starts, ends, self.horizon)
+
+def _check_offsets(starts: np.ndarray, ends: np.ndarray, horizon: int) -> None:
+    """Kept pairs' offsets must satisfy 1 <= start <= end <= H."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if np.any(starts < 1) or np.any(ends > horizon):
+        raise ValueError("predicted offsets must lie in [1, H]")
+    if np.any(starts > ends):
+        raise ValueError("start offsets must be <= end offsets")
 
 
 def predict_existence(scores: np.ndarray, tau1: float = 0.5) -> np.ndarray:
@@ -129,24 +193,20 @@ def extract_intervals(
     return starts.astype(int), ends.astype(int)
 
 
-def kept_intervals(
+def kept_pair_intervals(
     output: EventHitOutput, exists: np.ndarray, tau2: float = 0.5
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`extract_intervals` for only the (row, event) pairs ``exists``
-    keeps.
+    keeps: ``(rows, cols, starts, ends)``, one entry per kept pair in
+    row-major order.
 
-    Returns (B, K) starts/ends equal to :func:`extract_intervals`' on the
-    kept pairs and zero elsewhere.  Only the kept pairs' occurrence scores
-    are read (:meth:`EventHitOutput.kept_frame_scores`), so a lazily
-    activated output never activates the rest.
+    Only the kept pairs' occurrence scores are read
+    (:meth:`EventHitOutput.kept_frame_scores`), so a lazily activated
+    output never activates the rest.
     """
-    rows, events, scores = output.kept_frame_scores(exists)
-    first, last = extract_intervals(scores[:, None, :], tau2)
-    starts = np.zeros(output.scores.shape, dtype=int)
-    ends = np.zeros_like(starts)
-    starts[rows, events] = first[:, 0]
-    ends[rows, events] = last[:, 0]
-    return starts, ends
+    rows, cols, scores = output.kept_frame_scores(exists)
+    starts, ends = extract_intervals(scores[:, None, :], tau2)
+    return rows, cols, starts[:, 0], ends[:, 0]
 
 
 def decide_existence(
@@ -179,8 +239,9 @@ def decide_intervals(
     exists = decide_existence(output, classifier, confidence, tau1)
     if regressor is not None:
         return regressor.predict(output, exists, alpha)
-    starts, ends = kept_intervals(output, exists, tau2)
-    return PredictionBatch(exists, starts, ends, output.horizon)
+    return PredictionBatch.from_kept(
+        exists, *kept_pair_intervals(output, exists, tau2), output.horizon
+    )
 
 
 def threshold_predictions(

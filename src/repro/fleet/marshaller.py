@@ -66,7 +66,6 @@ from ..obs import (
     span,
     update_slos,
 )
-from ..video.events import EventType
 from ..video.stream import VideoStream
 from .scheduler import (
     FleetScheduler,
@@ -113,6 +112,7 @@ class _LaneState:
         "features",
         "last_health",
         "mode",
+        "truth_from",
     )
 
     def __init__(self, lane: FleetLane, start_frame: int):
@@ -126,6 +126,9 @@ class _LaneState:
         # i.e. what the lane's own account would have paid.
         self.shadow = UsageLedger()
         self.frame = start_frame
+        # Ground truth is counted into the report up to this frame
+        # (FleetMarshaller._settle_truth); frames past it are still owed.
+        self.truth_from = start_frame
         self.done = False
         # Set by _make_states when a guard is in play: the sanitized view
         # this lane's windows are cut from (same object as lane.features
@@ -320,11 +323,7 @@ class FleetMarshaller:
         event_types = m.event_types
         for state, segments in zip(active, segments_rows):
             frame, stream, report = state.frame, state.stream, state.report
-            frames_in = stream.schedule.frames_in
-            first, last = frame + 1, frame + horizon
             for event_type, runs in zip(event_types, segments):
-                # _horizon_truth_frames, inlined for the hot loop.
-                report.true_event_frames += frames_in(event_type, first, last)
                 for start_offset, end_offset in runs:
                     requests.append(
                         RelayRequest(
@@ -352,23 +351,19 @@ class FleetMarshaller:
         """
         m = self.marshaller
         requests: List[RelayRequest] = []
-        for event_type in m.event_types:
-            state.report.true_event_frames += self._horizon_truth_frames(
-                state.stream, state.frame, event_type
-            )
-            if quarantine_policy != "relay-all":
-                continue
-            segment = state.stream.segment(
-                state.frame + 1, state.frame + m.horizon
-            )
-            requests.append(
-                RelayRequest(
-                    lane=state.name,
-                    segment=segment,
-                    event_type=event_type,
-                    tick=tick,
+        if quarantine_policy == "relay-all":
+            for event_type in m.event_types:
+                segment = state.stream.segment(
+                    state.frame + 1, state.frame + m.horizon
                 )
-            )
+                requests.append(
+                    RelayRequest(
+                        lane=state.name,
+                        segment=segment,
+                        event_type=event_type,
+                        tick=tick,
+                    )
+                )
         state.report.horizons_evaluated += 1
         state.report.frames_covered += m.horizon
         state.frame += m.horizon
@@ -501,14 +496,27 @@ class FleetMarshaller:
     # ------------------------------------------------------------------
     # Per-lane bookkeeping
     # ------------------------------------------------------------------
-    def _horizon_truth_frames(
-        self, stream: VideoStream, frame: int, event_type: EventType
-    ) -> int:
-        """Number of ground-truth frames of ``event_type`` in the horizon
-        starting at ``frame`` (recall accounting)."""
-        return stream.schedule.frames_in(
-            event_type, frame + 1, frame + self.marshaller.horizon
-        )
+    def _settle_truth(self, states: Sequence[_LaneState]) -> None:
+        """Count each lane's ground-truth event frames up to its cursor.
+
+        Every path that advances a lane (decide, quarantine, relay-all)
+        moves it by whole horizons and owes recall accounting for every
+        frame it passes.  ``frames_in`` is additive over adjacent ranges,
+        so one query per lane and event over ``(truth_from, frame]``
+        equals the per-horizon sum.  The run settles where
+        ``true_event_frames`` is read: before telemetry samples, before
+        the probe, and at run end.
+        """
+        event_types = self.marshaller.event_types
+        for state in states:
+            if state.frame > state.truth_from:
+                frames_in = state.stream.schedule.frames_in
+                first = state.truth_from + 1
+                for event_type in event_types:
+                    state.report.true_event_frames += frames_in(
+                        event_type, first, state.frame
+                    )
+                state.truth_from = state.frame
 
     def _guard_bookkeeping(
         self, guarded: GuardedStream, frame: int, report: MarshallingReport
@@ -706,7 +714,9 @@ class FleetMarshaller:
 
         ``on_tick``, when given, is called as ``on_tick(tick)`` after
         every tick (telemetry for that tick, if enabled, has already been
-        sampled) — the hook the ``watch`` dashboard redraws from.
+        sampled) — the hook the ``watch`` dashboard redraws from.  Lane
+        reports' ``true_event_frames`` is settled only where it is read:
+        before telemetry samples, before ``probe``, and at run end.
 
         ``lifecycle``, when given, is a
         :class:`~repro.lifecycle.LifecycleController`: staged model swaps
@@ -888,6 +898,8 @@ class FleetMarshaller:
                     # call is rejected.
                     stack.advance_clock(m.horizon / fps)
                 report.ticks += 1
+                if telemetry or probe is not None:
+                    self._settle_truth(states)
                 if telemetry:
                     self._tick_telemetry(
                         states, report, stack, tick, backlog, spent,
@@ -900,6 +912,7 @@ class FleetMarshaller:
                     probe(tick, states, report, service)
                 tick += 1
 
+        self._settle_truth(states)
         for state in states:
             state.report.total_cost = state.shadow.total_cost
             report.per_stream[state.name] = state.report

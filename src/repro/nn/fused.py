@@ -224,9 +224,9 @@ def prepare_lstm_weights(
     ``exp`` runs on it directly for ``σ(x) = 1 / (1 + exp(−x))``, and the
     candidate's ``tanh(x) = 2σ(2x) − 1``.
 
-    :func:`lstm_forward_numpy` prepares once per call;
-    :func:`lstm_step_numpy` callers that step every tick (the continual
-    engine) prepare once per model bind.
+    :func:`lstm_forward_numpy` prepares once per call unless handed
+    prepared weights; the serving engines prepare once per model bind
+    and pass the result to every sequence forward and step.
     """
     hidden = weight_h.shape[0]
     perm = _gate_permutation(hidden)
@@ -288,6 +288,7 @@ def lstm_forward_numpy(
     c0: Optional[np.ndarray] = None,
     matmul=None,
     return_state: bool = False,
+    prepared: bool = False,
 ) -> np.ndarray:
     """Run the whole LSTM sequence in raw numpy; returns ``h_T`` (B, H).
 
@@ -307,9 +308,16 @@ def lstm_forward_numpy(
     ``h_T`` — the warm-up path of the continual engine, which must resume
     the recurrence from exactly where a windowed forward would have left
     it (:func:`lstm_step_numpy` continues bitwise from this state).
+
+    ``prepared=True`` says the three weights already come from
+    :func:`prepare_lstm_weights` (the serving engines cache them per
+    bind), so the per-call preparation is skipped.
     """
     batch, steps, features, hidden = _check_lstm_shapes(x, weight_x, weight_h, bias)
-    wx_p, wh_p, b_p = prepare_lstm_weights(weight_x, weight_h, bias)
+    if prepared:
+        wx_p, wh_p, b_p = weight_x, weight_h, bias
+    else:
+        wx_p, wh_p, b_p = prepare_lstm_weights(weight_x, weight_h, bias)
     # Time-major projection: per-step slices of ``xw`` are contiguous.
     if matmul is None:
         pooled = _workspaces.take(steps, batch, features)
@@ -353,9 +361,8 @@ def lstm_step_numpy(
     """One stateful LSTM step on *prepared* weights; updates ``h, c`` in place.
 
     ``wx_p`` / ``wh_p`` / ``b_p`` come from :func:`prepare_lstm_weights`
-    (the permuted, sign-folded copies :func:`lstm_forward_numpy` builds
-    once per call) — callers that step every tick (the continual engine)
-    cache them once per model bind instead.  The op sequence mirrors the
+    (the permuted, sign-folded copies; the continual engine caches them
+    once per model bind).  The op sequence mirrors the
     sequence forward's inner loop exactly, so stepping frames one at a
     time is **bitwise identical** to running the whole window through
     :func:`lstm_forward_numpy` from the same initial state (with the same

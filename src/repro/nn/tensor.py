@@ -409,13 +409,34 @@ class Tensor:
         return Tensor._make(self.data.transpose(axes_t), (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
+        # A basic index (ints, slices, None, Ellipsis) hits every element at
+        # most once, so a plain += into zeros is the same addition as
+        # np.add.at; fancy indexes may repeat a target and need the
+        # unbuffered ufunc.
+        basic = _is_basic_index(index)
+
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
+                if basic:
+                    full[index] += grad
+                else:
+                    np.add.at(full, index, grad)
                 self._accumulate(full)
 
         return Tensor._make(self.data[index], (self,), backward)
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is numpy basic indexing (no duplicate targets)."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        part is None
+        or part is Ellipsis
+        or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts
+    )
 
 
 def _ensure_tensor(value: ArrayLike) -> Tensor:

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import BatchedInference, EventHit, EventHitConfig, rowstable_matmul
+from repro.core import (
+    BatchedInference,
+    EventHit,
+    EventHitConfig,
+    make_engine,
+    rowstable_matmul,
+)
 from repro.core.batched import _relu, _sigmoid
+from repro.nn import MLP
 from repro.nn.layers import Tanh
 
 CONFIG = EventHitConfig(
@@ -128,3 +135,96 @@ class TestValidation:
         model.head1.net._layers[-1] = Tanh()
         with pytest.raises(TypeError, match="Linear -> Sigmoid"):
             BatchedInference(model).predict(make_batch(2))
+
+
+def per_head_logits(engine, encoded, last_vector):
+    """Θ logits with the heads evaluated one after another, every layer
+    through the engine's single-layer evaluator (each ``Linear`` one
+    :func:`rowstable_matmul`): the pass the stacked heads replace."""
+    z = engine._eval_sequential(engine.model.shared, encoded)
+    head_input = np.concatenate([z, last_vector], axis=1)
+    theta = []
+    for head in engine.model.heads():
+        hidden = head_input
+        for layer in head.net._layers[:-1]:  # all but the output sigmoid
+            hidden = engine._eval_layer(layer, hidden)
+        theta.append(hidden)
+    return np.stack(theta, axis=1)
+
+
+class TestStackedHeads:
+    """The K heads as one GEMM stack, bitwise the head-by-head pass."""
+
+    @pytest.mark.parametrize("head_hidden", [(), (24,), (24, 12)])
+    @pytest.mark.parametrize("events", [1, 2, 3, 4])
+    def test_equals_per_head_evaluation_bitwise(self, events, head_hidden):
+        config = EventHitConfig(
+            window_size=4, horizon=40, lstm_hidden=16, shared_hidden=(16,),
+            head_hidden=head_hidden, seed=events,
+        )
+        engine = BatchedInference(EventHit(NUM_FEATURES, events, config=config))
+        rng = np.random.default_rng(events)
+        for batch in range(1, 71):
+            encoded = rng.normal(size=(batch, config.lstm_hidden))
+            last = rng.normal(size=(batch, NUM_FEATURES))
+            got = engine._head_logits(encoded, last)
+            want = per_head_logits(engine, encoded, last)
+            assert got.shape == (batch, events, config.horizon + 1)
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), batch
+
+    def test_rejects_heads_of_different_shapes(self):
+        model = make_model("lstm")
+        model.head2 = MLP(model.head0.net._layers[0].in_features, [8],
+                          CONFIG.horizon + 1, output_activation="sigmoid")
+        with pytest.raises(TypeError, match="same shapes"):
+            BatchedInference(model).predict(make_batch(2))
+
+    def test_rejects_heads_of_different_layers(self):
+        model = make_model("lstm")
+        model.head1 = MLP(model.head0.net._layers[0].in_features, [24, 24],
+                          CONFIG.horizon + 1, output_activation="sigmoid")
+        with pytest.raises(TypeError, match="same layers"):
+            BatchedInference(model).predict(make_batch(2))
+
+
+class TestPreparedWeights:
+    """Weights are prepared once per bind; refresh_weights re-reads them."""
+
+    @pytest.mark.parametrize("encoder", ["lstm", "gru"])
+    @pytest.mark.parametrize("kind", ["windowed", "continual", "gated"])
+    def test_refresh_after_in_place_change_equals_fresh_engine(self, kind, encoder):
+        model = make_model(encoder)
+        engine = make_engine(kind, model)
+        x = make_batch(5)
+        keys, ends = [f"s{i}" for i in range(5)], [CONFIG.window_size - 1] * 5
+
+        def serve(e):
+            e.reset()
+            out = e.update(x, keys, ends)
+            return out.scores, out.frame_scores
+
+        serve(engine)  # builds the cache
+        # Change the cached weights in place: the encoder and every head.
+        cached = list(model.encoder.parameters())
+        for head in model.heads():
+            cached.extend(head.parameters())
+        for param in cached:
+            param.data *= 1.25
+        stale = serve(engine)
+        fresh = serve(make_engine(kind, model))
+        assert not np.array_equal(stale[0], fresh[0])
+        engine.refresh_weights()
+        refreshed = serve(engine)
+        assert all(np.array_equal(a, b) for a, b in zip(refreshed, fresh))
+
+    def test_rebind_prepares_the_new_model(self):
+        engine = BatchedInference(make_model("lstm"))
+        x = make_batch(3)
+        engine.predict(x)
+        other = EventHit(NUM_FEATURES, NUM_EVENTS,
+                         config=EventHitConfig(**{**CONFIG.__dict__, "seed": 8}))
+        rebound = engine.rebind(other)
+        assert np.array_equal(
+            rebound.predict(x).scores, BatchedInference(other).predict(x).scores
+        )
+        assert not np.array_equal(rebound.predict(x).scores, engine.predict(x).scores)

@@ -112,17 +112,6 @@ class TestPredictionBatch:
                 horizon=10,
             )
 
-    def test_with_intervals(self):
-        batch = PredictionBatch(
-            exists=np.array([[True]]),
-            starts=np.array([[3]]),
-            ends=np.array([[5]]),
-            horizon=10,
-        )
-        widened = batch.with_intervals(np.array([[1]]), np.array([[9]]))
-        assert widened.starts[0, 0] == 1 and widened.ends[0, 0] == 9
-        assert batch.starts[0, 0] == 3  # original untouched
-
 
 class TestThresholdPredictions:
     def test_end_to_end(self):

@@ -16,9 +16,10 @@ from repro.conformal import ConformalClassifier, ConformalRegressor
 from repro.core import BatchedInference, EventHit, EventHitConfig, EventHitOutput
 from repro.core.inference import (
     PredictionBatch,
+    decide_intervals,
     extract_interval_segments,
     extract_intervals,
-    kept_intervals,
+    kept_pair_intervals,
 )
 from repro.data import RecordSet
 from repro.features import CovariatePipeline
@@ -163,7 +164,7 @@ class TestLazyFrameScores:
         model = EventHit(FEATURES, EVENTS, config=CONFIG)
         engine = BatchedInference(model)
         x = np.random.default_rng(5).normal(size=(11, CONFIG.window_size, FEATURES))
-        encoded = engine._eval_lstm(model.encoder, x)
+        encoded = engine._eval_lstm(x)
         want = eager_activation(engine._head_logits(encoded, x[:, -1, :]))
         out = engine.predict(x)
         assert np.array_equal(out.scores, want[:, :, 0])
@@ -266,7 +267,86 @@ class TestKeptPairDecide:
     def test_kept_intervals_zero_outside_kept_pairs(self):
         theta = random_logits(13)
         exists = np.random.default_rng(14).random(theta.shape[:2]) < 0.4
-        starts, ends = kept_intervals(EventHitOutput.from_logits(theta), exists)
+        output = EventHitOutput.from_logits(theta)
+        batch = PredictionBatch.from_kept(
+            exists, *kept_pair_intervals(output, exists), HORIZON
+        )
+        starts, ends = batch.starts, batch.ends
         full_starts, full_ends = extract_intervals(eager_output(theta).frame_scores)
         assert np.array_equal(starts, np.where(exists, full_starts, 0))
         assert np.array_equal(ends, np.where(exists, full_ends, 0))
+
+
+def full_array_intervals(output, exists, tau2, regressor=None, alpha=None):
+    """(B, K) intervals built the full-array way: Eqs. 5-6 over every pair,
+    masked by existence, then the C-REGRESS widening over the whole
+    arrays and masked again."""
+    starts, ends = extract_intervals(output.frame_scores, tau2)
+    starts, ends = np.where(exists, starts, 0), np.where(exists, ends, 0)
+    if regressor is not None:
+        q = regressor.quantiles(alpha)
+        widened_starts = np.maximum(1, starts - q[None, :, 0].astype(int))
+        widened_ends = np.minimum(HORIZON, ends + q[None, :, 1].astype(int))
+        starts = np.where(exists, widened_starts, 0)
+        ends = np.where(exists, widened_ends, 0)
+    return starts, ends
+
+
+class TestKeptPairBatch:
+    """The decision's kept-pair PredictionBatch against full arrays."""
+
+    @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
+    @pytest.mark.parametrize("regress", [False, True], ids=["tau2", "cregress"])
+    @pytest.mark.parametrize("tau1", [2.0, 0.5, 0.0], ids=["none", "some", "all"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kept_and_materialized_arrays_equal_full_arrays(
+        self, layers, lazy, regress, tau1, seed
+    ):
+        _, _, regressor = layers
+        theta = random_logits(seed)
+        output = EventHitOutput.from_logits(theta) if lazy else eager_output(theta)
+        batch = decide_intervals(
+            output, regressor=regressor if regress else None, alpha=0.8,
+            tau1=tau1, tau2=0.4,
+        )
+        exists = eager_output(theta).scores >= tau1
+        tau2 = regressor.tau2 if regress else 0.4
+        want_starts, want_ends = full_array_intervals(
+            eager_output(theta), exists, tau2,
+            regressor if regress else None, 0.8,
+        )
+        assert np.array_equal(batch.exists, exists)
+        # Built in kept-pair form: nothing (B, K) until it is read.
+        assert batch._starts is None and batch._ends is None
+        rows, cols, starts, ends = batch.kept()
+        want_rows, want_cols = np.nonzero(exists)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert np.array_equal(starts, want_starts[rows, cols])
+        assert np.array_equal(ends, want_ends[rows, cols])
+        assert np.array_equal(batch.starts, want_starts)
+        assert np.array_equal(batch.ends, want_ends)
+        assert batch.starts.dtype == want_starts.dtype
+        eager = PredictionBatch(exists, want_starts, want_ends, HORIZON)
+        assert np.array_equal(batch.predicted_frames(), eager.predicted_frames())
+        for got, want in zip(eager.kept(), batch.kept()):
+            assert np.array_equal(got, want)
+        if lazy:
+            assert output._frame_scores is None
+
+    def test_from_kept_validates_only_the_kept_values(self):
+        exists = np.array([[True, False], [False, True]])
+        rows, cols = np.nonzero(exists)
+        ok = PredictionBatch.from_kept(
+            exists, rows, cols, np.array([1, 3]), np.array([2, HORIZON]), HORIZON
+        )
+        assert ok.starts.tolist() == [[1, 0], [0, 3]]
+        for starts, ends in (([0, 3], [2, 4]), ([1, 3], [2, HORIZON + 1]),
+                             ([3, 3], [2, 4])):
+            with pytest.raises(ValueError):
+                PredictionBatch.from_kept(
+                    exists, rows, cols, np.array(starts), np.array(ends), HORIZON
+                )
+        with pytest.raises(ValueError):
+            PredictionBatch.from_kept(
+                exists, rows, cols, np.array([1]), np.array([2]), HORIZON
+            )

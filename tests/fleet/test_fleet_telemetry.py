@@ -280,3 +280,107 @@ class TestQuarantineDump:
         assert gauges["fleet.lanes_quarantined"]["max"] >= 1
         # healthy lanes keep reporting normally
         assert report.per_stream[lanes[0].name].horizons_evaluated == 2
+
+
+def horizon_truth(lane, start, frame, marshaller):
+    """Ground-truth frames of ``lane`` over ``(start, frame]``, summed one
+    horizon at a time the way a per-horizon loop would count them."""
+    total = 0
+    for first in range(start, frame, marshaller.horizon):
+        for event_type in marshaller.event_types:
+            total += lane.stream.schedule.frames_in(
+                event_type, first + 1, first + marshaller.horizon
+            )
+    return total
+
+
+def event_start_frame(marshaller, lane):
+    """A start frame on which ``lane``'s first event instance begins that
+    leaves room for MAX_HORIZONS horizons: a settlement that also counted
+    its range's first frame (the decision frame) would over-count."""
+    lo = marshaller.pipeline.min_frame()
+    hi = lane.stream.length - MAX_HORIZONS * marshaller.horizon - 1
+    starts = [
+        inst.start
+        for event_type in marshaller.event_types
+        for inst in lane.stream.schedule.instances_of(event_type)
+        if lo <= inst.start <= hi
+    ]
+    assert starts, "no event instance starts inside the runnable range"
+    return min(starts)
+
+
+class TestTruthSettlement:
+    """Truth is settled per lane span, yet reads as if counted per horizon."""
+
+    def test_sampled_truth_is_settled_to_every_cursor(self, setup, monkeypatch):
+        spec, data, marshaller, lanes = setup
+        store, _ = enable_telemetry()
+        start = event_start_frame(marshaller, lanes[0])
+        sampled = []
+        tick_telemetry = FleetMarshaller._tick_telemetry
+
+        def sample(self, states, *args):
+            sampled.append([
+                (s.report.true_event_frames,
+                 horizon_truth(s.lane, start, s.frame, marshaller))
+                for s in states
+            ])
+            return tick_telemetry(self, states, *args)
+
+        monkeypatch.setattr(FleetMarshaller, "_tick_telemetry", sample)
+        report = FleetMarshaller(marshaller).run(
+            lanes, fresh_service(lanes), start_frame=start,
+            max_horizons=MAX_HORIZONS,
+        )
+        assert len(sampled) == report.ticks == MAX_HORIZONS
+        for row in sampled:
+            assert [got for got, _ in row] == [want for _, want in row]
+        assert sum(want for _, want in sampled[-1]) > 0
+        # The recall series reads the settled totals.
+        true_frames = sum(got for got, _ in sampled[-1])
+        detected = sum(r.detected_event_frames for r in report.per_stream.values())
+        assert store.values("fleet.recall_cum")[-1] == detected / true_frames
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_report_truth_equals_per_horizon_sum_on_every_path(
+        self, setup, telemetry
+    ):
+        spec, data, marshaller, lanes = setup
+        if telemetry:
+            enable_telemetry()
+        # A served lane, a quarantined lane under "skip" and a shed lane.
+        sick = lanes[1]
+        values = sick.features.values.copy()
+        values[:] = np.nan
+        poisoned = FleetLane(
+            stream=sick.stream,
+            features=FeatureMatrix(values, list(sick.features.channel_names)),
+        )
+        mixed = [lanes[0], poisoned, lanes[2]]
+        start = event_start_frame(marshaller, lanes[0])
+        probed = []
+        report = FleetMarshaller(marshaller).run(
+            mixed,
+            fresh_service(mixed),
+            start_frame=start,
+            max_horizons=MAX_HORIZONS,
+            guard=StreamGuard(quarantine_policy="skip"),
+            lane_modes={lanes[2].name: "relay-all"},
+            probe=lambda tick, states, rep, service: probed.append(
+                [s.report.true_event_frames for s in states]
+            ),
+        )
+        for i, lane in enumerate(mixed):
+            rep = report.per_stream[lane.name]
+            assert rep.horizons_evaluated == MAX_HORIZONS
+            end = start + MAX_HORIZONS * marshaller.horizon
+            assert rep.true_event_frames == horizon_truth(lane, start, end, marshaller)
+            # The probe sees each tick's totals settled.
+            assert [row[i] for row in probed] == [
+                horizon_truth(lane, start, start + (t + 1) * marshaller.horizon,
+                              marshaller)
+                for t in range(MAX_HORIZONS)
+            ]
+        assert report.per_stream[poisoned.name].quarantined_frames > 0
+        assert report.per_stream[lanes[2].name].frames_relayed > 0

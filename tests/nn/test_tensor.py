@@ -221,6 +221,45 @@ class TestShapeOps:
         a[1:3].sum().backward()
         np.testing.assert_allclose(a.grad, [0, 1, 1, 0, 0])
 
+    @pytest.mark.parametrize(
+        "basic, fancy",
+        [
+            ((slice(None), slice(None), slice(1, None)),
+             (slice(None), slice(None), np.arange(1, 5))),
+            ((1, slice(None, None, -2)), (1, np.array([3, 1]))),
+            ((Ellipsis, 0), (Ellipsis, np.array(0))),
+            ((None, slice(1, 3)), (None, np.arange(1, 3))),
+            (np.int64(2), np.array(2)),
+        ],
+    )
+    def test_getitem_basic_grad_equals_fancy_bitwise(self, basic, fancy):
+        # The basic-index backward adds into zeros without np.add.at; the
+        # fancy path keeps it.  Gradients must agree bit for bit, signed
+        # zeros included, also when a tensor is sliced twice.
+        data = np.random.default_rng(0).normal(size=(3, 4, 5))
+        grads = []
+        for index in (basic, fancy):
+            a = Tensor(data, requires_grad=True)
+            shape = data[index].shape
+            rng = np.random.default_rng(1)
+            loss = None
+            for _ in range(2):
+                upstream = rng.normal(size=shape)
+                upstream.reshape(-1)[::3] = -0.0
+                term = (a[index] * Tensor(upstream)).sum()
+                loss = term if loss is None else loss + term
+            loss.backward()
+            grads.append(a.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+    def test_getitem_fancy_grad_accumulates_repeats(self):
+        a = Tensor(np.arange(4.0), requires_grad=True)
+        a[np.array([0, 0, 2])].sum().backward()
+        np.testing.assert_array_equal(a.grad, [2, 0, 1, 0])
+        b = Tensor(np.arange(4.0), requires_grad=True)
+        b[np.array([True, False, True, True])].sum().backward()
+        np.testing.assert_array_equal(b.grad, [1, 0, 1, 1])
+
     def test_concat_grad_routing(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0], requires_grad=True)

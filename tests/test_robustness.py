@@ -198,8 +198,8 @@ class TestPredictionEdges:
         base = PredictionBatch(
             exists=np.ones((b, 1), dtype=bool), starts=ps, ends=pe, horizon=h
         )
-        widened = base.with_intervals(
-            np.maximum(1, ps - 3), np.minimum(h, pe + 3)
+        widened = PredictionBatch(
+            base.exists, np.maximum(1, ps - 3), np.minimum(h, pe + 3), h
         )
         assert recall(widened, records) >= recall(base, records)
 

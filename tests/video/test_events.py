@@ -293,6 +293,22 @@ class TestIntervalIndex:
                 expected = int(mask[a : b + 1].sum()) if a <= b else 0
                 assert sched.frames_in(event_type, a, b) == expected
 
+    @given(
+        sched=disjoint_schedules(),
+        cuts=st.lists(st.integers(-5, 340), min_size=3, max_size=3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_frames_in_is_additive_over_adjacent_ranges(self, sched, cuts):
+        # The fleet settles ground truth over a lane's whole span at once
+        # because of this identity: frames_in(a, c) equals frames_in(a, b)
+        # plus frames_in(b + 1, c).
+        a, b, c = sorted(cuts)
+        for event_type in (ET, ET2, EventType("ghost", 5, 1)):
+            assert sched.frames_in(event_type, a, c) == (
+                sched.frames_in(event_type, a, b)
+                + sched.frames_in(event_type, b + 1, c)
+            )
+
     @given(sched=disjoint_schedules(), bounds=st.lists(ranges, max_size=8))
     @settings(max_examples=80, deadline=None)
     def test_instances_between_matches_overlaps_filter(self, sched, bounds):
