@@ -60,7 +60,6 @@ from .harness import (
     ExperimentSettings,
     build_fleet_lanes,
     chaos_experiment,
-    continual_gate_sweep,
     ingest_chaos_experiment,
     lifecycle_chaos_experiment,
     fleet_marshaller,
@@ -101,16 +100,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         choices=list(ENGINES),
         help="inference engine: 'windowed' re-runs the full window every "
         "tick, 'continual' carries LSTM/GRU state across ticks (O(1) per "
-        "new frame), 'gated' additionally skips recompute when features "
-        "are static",
-    )
-    parser.add_argument(
-        "--gate-delta",
-        type=float,
-        default=None,
-        metavar="DELTA",
-        help="change-gate threshold (inf-norm on standardized features) "
-        "for --engine gated; default 0.05",
+        "new frame)",
     )
 
 
@@ -273,7 +263,6 @@ def _build_fleet_run(
         scheduler=args.scheduler,
         tick_budget_frames=args.budget_frames,
         engine=args.engine,
-        gate_delta=args.gate_delta,
     )
     supervisor = shard_plan = None
     if args.shards > 1:
@@ -597,14 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--confidence", type=float, default=0.9)
     fleet.add_argument("--alpha", type=float, default=0.9)
     _add_engine_args(fleet)
-    fleet.add_argument(
-        "--gate-deltas",
-        default=None,
-        metavar="D1,D2,...",
-        help="gate-threshold sweep mode: serve the fleet at stride 1 "
-        "through the gated engine at each threshold; prints speedup over "
-        "windowed, gate hit rate, and max score drift per threshold",
-    )
 
     watch = sub.add_parser(
         "watch",
@@ -842,15 +823,6 @@ def _run_lifecycle(args: argparse.Namespace, out) -> None:
 def _run_fleet(args: argparse.Namespace, out) -> None:
     """One fleet run (per-stream table) or a fleet-size throughput sweep."""
     experiment = run_experiment(args.task, settings=_settings(args))
-    if args.gate_deltas is not None:
-        rows = continual_gate_sweep(
-            experiment,
-            deltas=_parse_float_list(args.gate_deltas),
-            num_streams=args.streams,
-            seed=args.seed,
-        )
-        print(format_table(rows), file=out)
-        return
     if args.fleet_sizes is not None and args.shards > 1:
         sizes = [int(value) for value in _parse_float_list(args.fleet_sizes)]
         rows = sharded_throughput_sweep(

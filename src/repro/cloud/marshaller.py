@@ -294,12 +294,16 @@ class StreamMarshaller:
 
     # ------------------------------------------------------------------
     def decide(self, output) -> tuple:
-        """(exists (B,K) bool, segments[b][k] = [(start, end), ...]).
+        """``(exists, kept)``: the ``(B, K)`` bool existence decision and,
+        for each pair it keeps, ``(row, event, runs)`` with ``runs`` that
+        pair's ``[(start, end), ...]`` horizon offsets, in row-major order.
 
-        Batch-native: every underlying operation (conformal p-values,
-        interval extraction, C-REGRESS widening) is row-independent, so
-        row ``b``'s segments are exactly what a single-row call would
-        return — the fleet marshaller decides all lanes in this one call.
+        Only kept pairs are listed; a pair ``exists`` drops relays nothing.
+        In segmented mode a kept pair may carry no runs.  Batch-native:
+        every underlying operation (conformal p-values, interval
+        extraction, C-REGRESS widening) is row-independent, so row ``b``'s
+        runs are exactly what a single-row call would return — the fleet
+        marshaller decides all lanes in this one call.
         The rule is :func:`~repro.core.inference.decide_intervals`, as for
         the §VI.B variants; span mode gives each event at most one segment
         per row, and segmented mode widens each run.  Both
@@ -343,11 +347,7 @@ class StreamMarshaller:
             if self.regressor is not None:
                 inc("marshal.widenings", len(rows))
             kept = [[(s, e)] for s, e in zip(starts.tolist(), ends.tolist())]
-        batch, num_events = exists.shape
-        segments = [[[] for _ in range(num_events)] for _ in range(batch)]
-        for b, k, runs in zip(rows.tolist(), cols.tolist(), kept):
-            segments[b][k] = runs
-        return exists, segments
+        return exists, list(zip(rows.tolist(), cols.tolist(), kept))
 
     def run(
         self,

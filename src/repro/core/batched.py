@@ -200,9 +200,8 @@ class BatchedInference:
         """A fresh engine of this engine's kind bound to ``model``.
 
         The hot-swap hook: the lifecycle controller rebinds whatever
-        engine class the deployment selected (windowed, continual, gated)
-        without knowing which — stateful engines override this to carry
-        their configuration across the swap while dropping all carried
+        engine class the deployment selected (windowed or continual)
+        without knowing which.  A stateful engine starts with no carried
         state (the post-swap warm-up is the state rebase).  The new
         engine prepares ``model``'s weights on its first forward.
         """

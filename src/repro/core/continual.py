@@ -1,25 +1,18 @@
-"""O(1)-per-tick continual inference with change-gated recompute.
+"""O(1)-per-tick continual inference.
 
 :class:`~repro.core.batched.BatchedInference` re-runs the whole
 ``(window, features)`` recurrence for every decision, even though
 consecutive windows of a live stream overlap in all but the stride's worth
 of frames.  *Continual Inference* (Hedegaard & Iosifidis, 2022) shows that
 carrying recurrent state across evaluations turns the per-step cost of an
-online DNN from O(window) to O(1); *CBinfer* (Cavigelli & Benini, 2017)
-and *Event Neural Networks* (Dutson et al., 2022) show that change-based
-gating skips recompute entirely on the near-static inputs that dominate
-surveillance video.  This module applies both to the marshalling
-predictor:
-
-* :class:`ContinualInference` — a stateful sibling of
-  :class:`BatchedInference` that keeps per-lane ``(h, c)`` state and
-  consumes only the *new* frames of each incoming window (one
-  :func:`~repro.nn.fused.lstm_step_numpy` per frame instead of a full
-  window unroll).
-* **Change gating** (``gate_delta``) — when every incoming frame's
-  features are within ``gate_delta`` (∞-norm) of the features of the last
-  frame the recurrence consumed, the engine skips the step *and* the head
-  entirely and re-serves the lane's cached Θ scores.
+online DNN from O(window) to O(1).  :class:`ContinualInference` applies
+that to the marshalling predictor: a stateful sibling of
+:class:`BatchedInference` that keeps per-lane ``(h, c)`` state and
+consumes only the *new* frames of each incoming window (one
+:func:`~repro.nn.fused.lstm_step_numpy` per frame instead of a full
+window unroll).  Every score comes from a fresh recurrence over the
+lane's frames, so the conformal layers, calibrated on fresh windows,
+keep their guarantee on this path.
 
 Correctness contract
 --------------------
@@ -31,9 +24,7 @@ frames ``b+1..t``, the lane's output is bit-for-bit what
 step kernel *is* the sequence forward's inner loop).  In particular, a
 lane whose windows never overlap (stride ≥ window, the repo's default
 horizon/window geometry) warms up every tick and the engine is
-byte-identical to the windowed one.  The gated path trades bounded score
-error (controlled by ``gate_delta``) for skipped work and is byte-identical
-to the ungated continual path whenever zero gates fire.  Both pins live in
+byte-identical to the windowed one.  Both pins live in
 ``tests/core/test_continual.py`` / ``tests/fleet/test_continual_fleet.py``.
 
 Like the batched engine, every matmul goes through
@@ -44,14 +35,14 @@ time-major projection equals the step kernel's per-frame ones bit for
 bit.  Fleet serving stays bitwise equivalent to sequential serving.
 
 Carried state lives in row-indexed arrays (``h``, ``c``, the last
-consumed frame, the cached scores, counters), one row per lane key, so a
-tick gathers and scatters whole groups of lanes; the common case, every
-lane at one stride, advances as one group.
+consumed frame index), one row per lane key, so a tick gathers and
+scatters whole groups of lanes; the common case, every lane at one
+stride, advances as one group.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,20 +55,11 @@ __all__ = ["ContinualInference", "ENGINES", "make_engine"]
 
 #: Engine registry names accepted by :func:`make_engine` (and the CLI's
 #: ``--engine`` flag).
-ENGINES = ("windowed", "continual", "gated")
-
-#: Default ∞-norm feature threshold for the ``gated`` engine.  Features
-#: are standardized (unit variance per channel), so 0.05σ is a
-#: conservative "nothing moved" band.
-DEFAULT_GATE_DELTA = 0.05
-
-
-# Per-row actions (module constants, not an enum: they index numpy arrays).
-_WARMUP, _STEP, _GATE = 0, 1, 2
+ENGINES = ("windowed", "continual")
 
 
 class ContinualInference(BatchedInference):
-    """Serve stacked stream windows with carried state and change gating.
+    """Serve stacked stream windows with carried recurrent state.
 
     Parameters
     ----------
@@ -85,49 +67,29 @@ class ContinualInference(BatchedInference):
         A (trained) :class:`EventHit` with a recurrent encoder (``lstm``
         or ``gru``).  The ``mean`` encoder has no recurrence to carry and
         is rejected — use the windowed engine for it.
-    gate_delta:
-        ``None`` (default) disables change gating.  A float ≥ 0 enables
-        it: an update whose new frames all lie within ``gate_delta``
-        (∞-norm, per feature) of the last consumed frame's features
-        reuses the lane's cached scores without touching state.
 
     Both engines share one prepared-weight cache, built on the first
     forward; :meth:`rebind` (the lifecycle controller's hot-swap path)
-    starts a fresh one and :meth:`refresh_weights` drops it after an
-    in-place parameter change.
+    starts a fresh engine, dropping all carried lane state, so every lane
+    warms up from its next full window under the new weights, and
+    :meth:`refresh_weights` drops the cache after an in-place parameter
+    change.
     """
 
-    def __init__(self, model: EventHit, gate_delta: Optional[float] = None):
+    def __init__(self, model: EventHit):
         super().__init__(model)
         if model.encoder_kind not in ("lstm", "gru"):
             raise ValueError(
                 "ContinualInference requires a recurrent encoder (lstm/gru); "
                 f"the {model.encoder_kind!r} encoder has no state to carry"
             )
-        if gate_delta is not None and gate_delta < 0:
-            raise ValueError("gate_delta must be >= 0 (or None to disable)")
-        self.gate_delta = gate_delta
         # Carried state lives in row-indexed arrays: ``_rows`` maps a lane
         # key to its row, and each array holds one entry per row.
         self._rows: Dict[str, int] = {}
         self._free: List[int] = []
         self._h = np.empty((0, model.encoder.hidden_size))
         self._c = np.empty_like(self._h)  # LSTM only
-        self._ref = np.empty((0, model.num_features))  # last consumed frame
-        # Θ logits of the last computed tick, re-served to gated rows.
-        self._theta = np.empty((0, model.num_events, model.config.horizon + 1))
         self._end = np.empty(0, dtype=np.int64)  # last consumed frame index
-        self._gate_hits = np.empty(0, dtype=np.int64)
-        self._computes = np.empty(0, dtype=np.int64)
-
-    def rebind(self, model: EventHit) -> "ContinualInference":
-        """Fresh engine for ``model`` with this engine's gating config.
-
-        All carried lane state is dropped — the state rebase after a
-        hot-swap: every lane warms up from its next full window under the
-        new weights, exactly as if the deployment had just started.
-        """
-        return type(self)(model, gate_delta=self.gate_delta)
 
     # ------------------------------------------------------------------
     # State management
@@ -151,13 +113,6 @@ class ContinualInference(BatchedInference):
     def has_state(self, key: str) -> bool:
         return key in self._rows
 
-    def gate_stats(self, key: str) -> Tuple[int, int]:
-        """``(gate_hits, computes)`` counters for one lane (0, 0 if unknown)."""
-        row = self._rows.get(key)
-        if row is None:
-            return (0, 0)
-        return (int(self._gate_hits[row]), int(self._computes[row]))
-
     # ------------------------------------------------------------------
     # The stateful update
     # ------------------------------------------------------------------
@@ -175,8 +130,6 @@ class ContinualInference(BatchedInference):
                     fresh.append(rows[key])
                 found[i] = rows[key]
             self._end[fresh] = -1
-            self._gate_hits[fresh] = 0
-            self._computes[fresh] = 0
         return np.array(found, dtype=np.intp)
 
     def _grow(self) -> None:
@@ -189,9 +142,7 @@ class ContinualInference(BatchedInference):
             return np.concatenate([arr, pad])
 
         self._h, self._c = grown(self._h), grown(self._c)
-        self._ref, self._theta = grown(self._ref), grown(self._theta)
         self._end = grown(self._end)
-        self._gate_hits, self._computes = grown(self._gate_hits), grown(self._computes)
         self._free.extend(range(capacity + extra - 1, capacity - 1, -1))
 
     def update(
@@ -214,8 +165,7 @@ class ContinualInference(BatchedInference):
             Absolute index of each window's final frame.  The engine
             derives the stride from the lane's last consumed frame: new
             lanes (or gaps ≥ window) warm up on the full window, smaller
-            strides step only the new frames, and gated lanes reuse
-            cached scores.
+            strides step only the new frames.
 
         Returns the same :class:`EventHitOutput` shape as ``predict``;
         row ``i`` depends only on lane ``i``'s own history, never on the
@@ -241,17 +191,7 @@ class ContinualInference(BatchedInference):
         prev = self._end[index]
         stride = ends - prev
         stride[(prev < 0) | (stride <= 0)] = steps
-        action = np.where(stride >= steps, _WARMUP, _STEP)
-        if self.gate_delta is not None:
-            # Gate a lane that has scores to re-serve when every new frame
-            # lies within gate_delta (∞-norm) of the last consumed one.
-            seen = np.flatnonzero(self._computes[index] > 0)
-            if len(seen):
-                ref = self._ref[index[seen]]
-                drift = np.abs(x[seen] - ref[:, None, :]).max(axis=2)
-                new = np.arange(steps) >= (steps - stride[seen])[:, None]
-                moved = np.where(new, drift, -np.inf).max(axis=1)
-                action[seen[moved <= self.gate_delta]] = _GATE
+        warmup = stride >= steps
         self._end[index] = ends
 
         is_lstm = self.model.encoder_kind == "lstm"
@@ -264,7 +204,7 @@ class ContinualInference(BatchedInference):
 
         # Warm-up rows: one stacked whole-window forward (bitwise the
         # windowed engine's encoding — same kernel, same contraction).
-        warm = np.flatnonzero(action == _WARMUP)
+        warm = np.flatnonzero(warmup)
         if len(warm):
             if is_lstm:
                 h_rows[lanes(warm)], c_rows[lanes(warm)] = self._eval_lstm(
@@ -277,7 +217,7 @@ class ContinualInference(BatchedInference):
         # Step rows, grouped by stride so each group advances in lock-step
         # (per-row math is batch-invariant, so grouping is free); a
         # stride-1 fleet is one group.
-        step = np.flatnonzero(action == _STEP)
+        step = np.flatnonzero(~warmup)
         if len(step):
             strides = stride[step]
             groups = (
@@ -311,54 +251,21 @@ class ContinualInference(BatchedInference):
                 c_rows[lanes(rows)] = c_g
             inc("continual.steps", lane_stride * len(rows))
 
-        # Head pass over every computed row in one stacked call; gated
-        # rows re-serve their cached Θ logits.
-        gated = np.flatnonzero(action == _GATE) if self.gate_delta is not None else ()
-        if not len(gated):
-            theta = self._head_logits(h_rows, x[:, -1, :])
-            computed = slice(None)
-        else:
-            theta = np.empty(
-                (batch, self.model.num_events, self.model.config.horizon + 1)
-            )
-            computed = np.flatnonzero(action != _GATE)
-            h_rows = h_rows[computed]
-            c_rows = c_rows[computed] if is_lstm else None
-            if len(computed):
-                theta[computed] = self._head_logits(h_rows, x[computed, -1, :])
-            theta[gated] = self._theta[index[gated]]
-            self._gate_hits[index[gated]] += 1
-            for i in gated.tolist():
-                inc(f"continual.gate.hits.{keys[i]}")
-            inc("continual.gate.hits", len(gated))
-        state_rows = index[computed]
-        if len(state_rows):
-            self._h[state_rows] = h_rows
-            if is_lstm:
-                self._c[state_rows] = c_rows
-            self._ref[state_rows] = x[computed, -1, :]
-            self._theta[state_rows] = theta[computed]
-            self._computes[state_rows] += 1
-
-        return EventHitOutput.from_logits(theta)
+        self._h[index] = h_rows
+        if is_lstm:
+            self._c[index] = c_rows
+        # Head pass over every row in one stacked call.
+        return EventHitOutput.from_logits(self._head_logits(h_rows, x[:, -1, :]))
 
 
-def make_engine(
-    name: str,
-    model: EventHit,
-    gate_delta: Optional[float] = None,
-) -> BatchedInference:
+def make_engine(name: str, model: EventHit) -> BatchedInference:
     """Build an inference engine by registry name.
 
     ``"windowed"`` is the stateless batched engine, ``"continual"``
-    carries state with gating off, ``"gated"`` carries state with change
-    gating at ``gate_delta`` (default :data:`DEFAULT_GATE_DELTA`).
+    carries per-lane recurrent state across ticks.
     """
     if name == "windowed":
         return BatchedInference(model)
     if name == "continual":
         return ContinualInference(model)
-    if name == "gated":
-        delta = DEFAULT_GATE_DELTA if gate_delta is None else gate_delta
-        return ContinualInference(model, gate_delta=delta)
     raise ValueError(f"engine must be one of {ENGINES}, got {name!r}")

@@ -305,9 +305,9 @@ class FleetMarshaller:
         )
         observe("fleet.batch_size", len(active))
         # One batch-native decision pass for every lane: row i of the
-        # batched output (and its segments) is bitwise the lane's solo
+        # batched output (and its runs) is bitwise the lane's solo
         # prediction, so this reproduces each lane's one-lane decisions.
-        exists_rows, segments_rows = m.decide(output)
+        exists_rows, kept = m.decide(output)
         if lifecycle is not None:
             # Offer the decided tick for audit before frames advance;
             # observation never mutates marshaller or report state.
@@ -318,26 +318,29 @@ class FleetMarshaller:
                 exists_rows,
                 tick=tick,
             )
+        # Kept pairs come in row-major order, so requests stay grouped by
+        # lane, then event type, then run.
         requests: List[RelayRequest] = []
-        horizon = m.horizon
         event_types = m.event_types
-        for state, segments in zip(active, segments_rows):
-            frame, stream, report = state.frame, state.stream, state.report
-            for event_type, runs in zip(event_types, segments):
-                for start_offset, end_offset in runs:
-                    requests.append(
-                        RelayRequest(
-                            lane=state.name,
-                            segment=stream.segment(
-                                frame + start_offset, frame + end_offset
-                            ),
-                            event_type=event_type,
-                            tick=tick,
-                        )
+        for row, event, runs in kept:
+            state = active[row]
+            frame, stream = state.frame, state.stream
+            for start_offset, end_offset in runs:
+                requests.append(
+                    RelayRequest(
+                        lane=state.name,
+                        segment=stream.segment(
+                            frame + start_offset, frame + end_offset
+                        ),
+                        event_type=event_types[event],
+                        tick=tick,
                     )
-            report.horizons_evaluated += 1
-            report.frames_covered += horizon
-            state.frame = frame + horizon
+                )
+        horizon = m.horizon
+        for state in active:
+            state.report.horizons_evaluated += 1
+            state.report.frames_covered += horizon
+            state.frame += horizon
         return requests
 
     def _quarantine_tick(

@@ -81,15 +81,13 @@ def chaos_marshaller(
     confidence: float = 0.9,
     alpha: float = 0.9,
     engine: str = "windowed",
-    gate_delta: Optional[float] = None,
 ) -> StreamMarshaller:
     """The deployment-shaped marshaller (EHCR configuration) for one task.
 
     ``engine`` selects the inference engine by registry name
     (:data:`~repro.core.continual.ENGINES`): ``"windowed"`` is the
     stateless batched default, ``"continual"`` carries recurrent state
-    across ticks, ``"gated"`` additionally change-gates recompute at
-    ``gate_delta``.
+    across ticks.
     """
     pipeline = CovariatePipeline(
         experiment.data.spec.window_size,
@@ -103,7 +101,7 @@ def chaos_marshaller(
         regressor=experiment.regressor,
         confidence=confidence,
         alpha=alpha,
-        inference=make_engine(engine, experiment.model, gate_delta=gate_delta),
+        inference=make_engine(engine, experiment.model),
     )
 
 

@@ -15,11 +15,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..cloud import CloudInferenceService, StreamMarshaller
-from ..core import BatchedInference, make_engine
-from ..features import CovariatePipeline, FeatureExtractor
+from ..features import FeatureExtractor
 from ..fleet import (
     FAIL_FAST,
     AdmissionConfig,
@@ -43,7 +40,6 @@ __all__ = [
     "run_fleet",
     "sequential_fleet_baseline",
     "fleet_throughput_sweep",
-    "continual_gate_sweep",
     "sharded_fleet_marshaller",
     "sharded_throughput_sweep",
     "shard_chaos_sweep",
@@ -110,11 +106,10 @@ def fleet_marshaller(
     scheduler: str = "round-robin",
     tick_budget_frames: Optional[int] = None,
     engine: str = "windowed",
-    gate_delta: Optional[float] = None,
 ) -> FleetMarshaller:
     """The deployment-shaped fleet engine (EHCR configuration).
 
-    ``engine`` / ``gate_delta`` select the inference engine
+    ``engine`` selects the inference engine
     (:data:`~repro.core.continual.ENGINES`), exactly as in
     :func:`~repro.harness.chaos.chaos_marshaller`.
     """
@@ -124,7 +119,6 @@ def fleet_marshaller(
             confidence=confidence,
             alpha=alpha,
             engine=engine,
-            gate_delta=gate_delta,
         ),
         scheduler=scheduler,
         tick_budget_frames=tick_budget_frames,
@@ -244,7 +238,6 @@ def sharded_fleet_marshaller(
     scheduler: str = "round-robin",
     tick_budget_frames: Optional[int] = None,
     engine: str = "windowed",
-    gate_delta: Optional[float] = None,
     partition: str = "contiguous",
     fault_rate: float = 0.0,
     seed: int = 0,
@@ -272,7 +265,6 @@ def sharded_fleet_marshaller(
         scheduler=scheduler,
         tick_budget_frames=tick_budget_frames,
         engine=engine,
-        gate_delta=gate_delta,
     )
     if fault_rate > 0:
         factory = ChaosServiceFactory(fault_rate=fault_rate, seed=seed)
@@ -440,91 +432,5 @@ def sharded_throughput_sweep(
                 single_s=round(single_s, 3),
                 critical_path_s=round(critical_s, 3),
                 speedup=round(row["speedup"], 2),
-            )
-    return rows
-
-
-def continual_gate_sweep(
-    experiment: Experiment,
-    deltas: Sequence[float] = (0.0, 0.01, 0.05, 0.1, 0.2),
-    num_streams: int = 8,
-    max_ticks: int = 64,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Gated-engine speedup and score drift versus gate threshold.
-
-    Serves ``num_streams`` lanes at stride 1 (one new frame per tick —
-    the per-frame serving regime where continual inference pays off) for
-    ``max_ticks`` ticks: once through the windowed engine (the speedup
-    reference), once through the ungated continual engine (the *accuracy*
-    reference — at stride 1 the carried state conditions on the whole
-    prefix since warmup, so comparing gated scores to windowed would
-    conflate gating error with that context difference), and once per
-    gate threshold through the gated engine.  Each row reports the
-    engine-level speedup over windowed, the fraction of lane-ticks the
-    change gate absorbed, and the worst absolute score deviation from the
-    ungated continual scores — pure gating error (δ=0 gates only
-    bit-identical frames, so its drift row is exactly 0).  Backs the
-    EXPERIMENTS.md curve and the CI chaos sweep.
-    """
-    if num_streams < 1:
-        raise ValueError("num_streams must be >= 1")
-    if max_ticks < 2:
-        raise ValueError("max_ticks must be >= 2 (tick 0 is all warmups)")
-    model = experiment.model
-    pipeline = CovariatePipeline(
-        experiment.data.spec.window_size,
-        standardizer=experiment.data.standardizer,
-    )
-    lanes = build_fleet_lanes(experiment, num_streams, seed=seed)
-    keys = [lane.name for lane in lanes]
-    first = pipeline.min_frame()
-    end_frames = [[first + t] * num_streams for t in range(max_ticks)]
-    features = [lane.features for lane in lanes]
-    ticks = [pipeline.windows_at(features, frames) for frames in end_frames]
-
-    windowed = BatchedInference(model)
-    start = time.perf_counter()
-    for w in ticks:
-        windowed.predict(w)
-    windowed_s = time.perf_counter() - start
-
-    ungated = make_engine("continual", model)
-    reference = [
-        ungated.update(w, keys, end_frames[t]).scores
-        for t, w in enumerate(ticks)
-    ]
-
-    rows: List[Dict[str, float]] = []
-    with span("continual.gate_sweep", deltas=len(list(deltas))):
-        for delta in deltas:
-            engine = make_engine("gated", model, gate_delta=delta)
-            start = time.perf_counter()
-            scores = [
-                engine.update(w, keys, end_frames[t]).scores
-                for t, w in enumerate(ticks)
-            ]
-            engine_s = time.perf_counter() - start
-            hits = sum(engine.gate_stats(key)[0] for key in keys)
-            drift = max(
-                float(np.max(np.abs(s - r))) for s, r in zip(scores, reference)
-            )
-            row = {
-                "delta": float(delta),
-                "streams": num_streams,
-                "ticks": max_ticks,
-                "windowed_s": windowed_s,
-                "gated_s": engine_s,
-                "speedup": windowed_s / engine_s if engine_s > 0 else float("inf"),
-                "gate_hit_rate": hits / (num_streams * max_ticks),
-                "max_score_drift": drift,
-            }
-            rows.append(row)
-            log_info(
-                "continual.gate_sweep_point",
-                delta=float(delta),
-                speedup=round(row["speedup"], 2),
-                gate_hit_rate=round(row["gate_hit_rate"], 3),
-                max_score_drift=round(drift, 6),
             )
     return rows

@@ -543,9 +543,9 @@ class LifecycleController:
         m = self.marshaller
         with span("lifecycle.swap", version=entry.version, tick=tick):
             m.model = model
-            # rebind preserves the engine kind and its config (windowed,
-            # continual, gated); stateful engines drop all carried lane
-            # state here — the post-swap warm-up is the state rebase.
+            # rebind preserves the engine kind (windowed or continual);
+            # the continual engine drops all carried lane state here —
+            # the post-swap warm-up is the state rebase.
             m.inference = m.inference.rebind(model)
             self._recalibrate(model)
             for report in reports:

@@ -106,16 +106,14 @@ class TestOfflineEqualsServed:
                 **{**UNREAD, **rule.knobs, **knobs},
             )
             offline = rule.predict(test, **knobs)
-            exists, segments = served.decide(model.predict(test.covariates))
+            exists, kept = served.decide(model.predict(test.covariates))
             assert np.array_equal(offline.exists, exists)
             assert 0 < exists.sum() <= exists.size
-            assert segments == [
-                [
-                    [(int(offline.starts[b, k]), int(offline.ends[b, k]))]
-                    if exists[b, k] else []
-                    for k in range(EVENTS)
-                ]
+            assert kept == [
+                (b, k, [(int(offline.starts[b, k]), int(offline.ends[b, k]))])
                 for b in range(len(test))
+                for k in range(EVENTS)
+                if exists[b, k]
             ]
 
     def test_constructors_are_the_rule(self, trained):

@@ -191,7 +191,7 @@ class TestPreparedWeights:
     """Weights are prepared once per bind; refresh_weights re-reads them."""
 
     @pytest.mark.parametrize("encoder", ["lstm", "gru"])
-    @pytest.mark.parametrize("kind", ["windowed", "continual", "gated"])
+    @pytest.mark.parametrize("kind", ["windowed", "continual"])
     def test_refresh_after_in_place_change_equals_fresh_engine(self, kind, encoder):
         model = make_model(encoder)
         engine = make_engine(kind, model)

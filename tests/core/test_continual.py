@@ -1,12 +1,14 @@
-"""The continual engine's equivalence and gating contracts.
+"""The continual engine's equivalence contracts.
 
 The load-bearing pin: with state carried across ticks, the stateful path
 must be **bitwise-equal to the windowed forward, warmup-aligned** — after
 a warm-up on window ``[a..b]`` and single-frame steps up to ``t``, lane
 output equals ``BatchedInference.predict`` over the one window ``[a..t]``
-bit for bit.  Everything else (gating, resets, rebind) is layered on top
-of that identity.
+bit for bit.  Everything else (resets, rebind) is layered on top of that
+identity.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -139,71 +141,6 @@ class TestWarmupAlignedEquivalence:
         np.testing.assert_allclose(out.scores[0], want, rtol=1e-9)
 
 
-class TestChangeGating:
-    def test_static_frames_reuse_cached_scores(self):
-        model = MODELS["lstm"]
-        engine = ContinualInference(model, gate_delta=0.05)
-        frames = make_frames(M, seed=6)
-        first = engine.update(frames[None], ["s0"], [M - 1])
-        # Next tick's new frame repeats the last consumed frame exactly.
-        window = np.concatenate([frames[1:], frames[-1:]])[None]
-        second = engine.update(window, ["s0"], [M])
-        assert np.array_equal(first.scores, second.scores)
-        assert np.array_equal(first.frame_scores, second.frame_scores)
-        assert engine.gate_stats("s0") == (1, 1)
-
-    def test_recall_preserved_at_tau_on_static_scene(self):
-        # A static scene: every tick shows the same window, so the
-        # windowed engine's scores — and any τ1 existence decision made
-        # from them — are constant.  The gated engine serves the scene
-        # from cache; its decisions must be the same ones.
-        model = MODELS["lstm"]
-        windowed = BatchedInference(model)
-        engine = ContinualInference(model, gate_delta=0.05)
-        window = np.tile(make_frames(1, seed=7), (M, 1))[None]
-        want = windowed.predict(window)
-        for tick in range(4):
-            got = engine.update(window, ["s0"], [M - 1 + tick])
-            assert np.array_equal(want.scores, got.scores), tick
-        hits, computes = engine.gate_stats("s0")
-        assert (hits, computes) == (3, 1)
-
-    def test_zero_gate_fires_byte_identical_to_ungated(self):
-        model = MODELS["lstm"]
-        gated = ContinualInference(model, gate_delta=1e-12)
-        plain = ContinualInference(model)
-        frames = make_frames(M + 10, seed=8)
-        for a, b in zip(serve_stride1(gated, frames), serve_stride1(plain, frames)):
-            assert np.array_equal(a.scores, b.scores)
-            assert np.array_equal(a.frame_scores, b.frame_scores)
-        assert gated.gate_stats("s0")[0] == 0
-
-    def test_score_error_bounded_by_delta(self):
-        # Slowly drifting features under a loose gate: scores drift, but
-        # shrinking delta must shrink (and at 0 eliminate) the error.
-        model = MODELS["lstm"]
-        windowed = BatchedInference(model)
-        base = make_frames(M, seed=9)
-        rng = np.random.default_rng(10)
-        drifts = {}
-        for delta in (0.0, 0.02, 0.2):
-            engine = ContinualInference(model, gate_delta=delta)
-            frames = base.copy()
-            worst = 0.0
-            engine.update(frames[None], ["s0"], [M - 1])
-            prefix = [f for f in frames]
-            for tick in range(10):
-                nxt = prefix[-1] + rng.normal(scale=0.01, size=NUM_FEATURES)
-                prefix.append(nxt)
-                window = np.stack(prefix[-M:])[None]
-                got = engine.update(window, ["s0"], [M + tick])
-                want = windowed.predict(np.stack(prefix)[None])
-                worst = max(worst, float(np.max(np.abs(want.scores - got.scores))))
-            drifts[delta] = worst
-        assert drifts[0.0] == 0.0
-        assert drifts[0.02] <= drifts[0.2] + 1e-12
-
-
 class TestLifecycleHooks:
     def test_reset_forces_fresh_warmup(self):
         model = MODELS["lstm"]
@@ -232,18 +169,24 @@ class TestLifecycleHooks:
 
     def test_rebind_swaps_model_and_drops_state(self):
         old = MODELS["lstm"]
-        new = EventHit(NUM_FEATURES, NUM_EVENTS, config=CONFIG, encoder="lstm")
-        engine = ContinualInference(old, gate_delta=0.07)
+        # Another seed, so an engine still serving ``old`` cannot pass.
+        new = EventHit(
+            NUM_FEATURES,
+            NUM_EVENTS,
+            config=dataclasses.replace(CONFIG, seed=CONFIG.seed + 1),
+            encoder="lstm",
+        )
+        engine = ContinualInference(old)
         frames = make_frames(M, seed=13)
-        engine.update(frames[None], ["s0"], [M - 1])
+        before = engine.update(frames[None], ["s0"], [M - 1])
         swapped = engine.rebind(new)
         assert type(swapped) is ContinualInference
         assert swapped.model is new
-        assert swapped.gate_delta == 0.07
         assert not swapped.has_state("s0")
         got = swapped.update(frames[None], ["s0"], [M - 1])
         want = BatchedInference(new).predict(frames[None])
         assert np.array_equal(want.scores, got.scores)
+        assert not np.array_equal(before.scores, got.scores)
 
     def test_windowed_rebind_stays_windowed(self):
         model = MODELS["lstm"]
@@ -257,10 +200,6 @@ class TestValidationAndRegistry:
         with pytest.raises(ValueError, match="recurrent encoder"):
             ContinualInference(model)
 
-    def test_negative_gate_delta_rejected(self):
-        with pytest.raises(ValueError, match="gate_delta"):
-            ContinualInference(MODELS["lstm"], gate_delta=-0.1)
-
     def test_shape_validation(self):
         engine = ContinualInference(MODELS["lstm"])
         with pytest.raises(ValueError, match="windows, keys"):
@@ -273,15 +212,17 @@ class TestValidationAndRegistry:
     def test_make_engine_registry(self):
         model = MODELS["lstm"]
         assert type(make_engine("windowed", model)) is BatchedInference
-        continual = make_engine("continual", model)
-        assert type(continual) is ContinualInference
-        assert continual.gate_delta is None
-        gated = make_engine("gated", model)
-        assert gated.gate_delta == 0.05  # documented default
-        assert make_engine("gated", model, gate_delta=0.2).gate_delta == 0.2
+        assert type(make_engine("continual", model)) is ContinualInference
         with pytest.raises(ValueError, match="engine must be one of"):
             make_engine("batched", model)
-        assert ENGINES == ("windowed", "continual", "gated")
+        assert ENGINES == ("windowed", "continual")
+
+    def test_gated_engine_is_gone(self):
+        with pytest.raises(ValueError) as excinfo:
+            make_engine("gated", MODELS["lstm"])
+        message = str(excinfo.value)
+        assert "'gated'" in message
+        assert all(repr(name) in message for name in ENGINES)
 
 
 class TestEquivalenceProperty:

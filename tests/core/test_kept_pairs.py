@@ -225,10 +225,16 @@ class TestKeptPairDecide:
         )
         theta = random_logits(seed)
         lazy = EventHitOutput.from_logits(theta)
-        exists, segments = m.decide(lazy)
+        exists, kept = m.decide(lazy)
         want_exists, want_segments = oracle_decide(m, eager_output(theta))
         assert np.array_equal(exists, want_exists)
-        assert segments == want_segments
+        # Every kept pair, in row-major order, with the oracle's runs.
+        assert kept == [
+            (b, k, runs)
+            for b, row in enumerate(want_segments)
+            for k, runs in enumerate(row)
+            if want_exists[b, k]
+        ]
         if regress:
             quantiles = regressor.quantiles(m.alpha)
             assert len({tuple(q) for q in quantiles}) == EVENTS

@@ -62,7 +62,7 @@ def setup():
     return spec, data, model, pipeline, lanes
 
 
-def make_marshaller(setup, engine="windowed", gate_delta=None):
+def make_marshaller(setup, engine="windowed"):
     spec, data, model, pipeline, lanes = setup
     return StreamMarshaller(
         model,
@@ -70,13 +70,13 @@ def make_marshaller(setup, engine="windowed", gate_delta=None):
         pipeline,
         tau1=0.5,
         tau2=0.5,
-        inference=make_engine(engine, model, gate_delta=gate_delta),
+        inference=make_engine(engine, model),
     )
 
 
-def fleet_reports(setup, engine, gate_delta=None):
+def fleet_reports(setup, engine):
     spec, data, model, pipeline, lanes = setup
-    fleet = FleetMarshaller(make_marshaller(setup, engine, gate_delta))
+    fleet = FleetMarshaller(make_marshaller(setup, engine))
     report = fleet.run(
         lanes,
         FleetCIService([lane.stream for lane in lanes]),
@@ -113,14 +113,6 @@ class TestByteIdentity:
         windowed, _ = fleet_reports(setup, "windowed")
         continual, _ = fleet_reports(setup, "continual")
         assert windowed == continual
-
-    def test_gated_zero_fires_byte_identical(self, setup):
-        gated, fleet = fleet_reports(setup, "gated", gate_delta=1e-12)
-        windowed, _ = fleet_reports(setup, "windowed")
-        assert gated == windowed
-        engine = fleet.marshaller.inference
-        spec, data, model, pipeline, lanes = setup
-        assert all(engine.gate_stats(lane.name)[0] == 0 for lane in lanes)
 
     def test_continual_fleet_equals_sequential_continual(self, setup):
         spec, data, model, pipeline, lanes = setup
@@ -217,10 +209,10 @@ class TestStateResetHooks:
 class TestHotSwapRebase:
     def test_rebind_preserves_engine_kind_across_swap(self, setup):
         # What the lifecycle controller does at swap time, distilled:
-        # rebind must keep the deployment's engine choice and config
-        # while dropping carried state (the post-swap warm-up rebase).
+        # rebind must keep the deployment's engine choice while dropping
+        # carried state (the post-swap warm-up rebase).
         spec, data, model, pipeline, lanes = setup
-        marshaller = make_marshaller(setup, "gated", gate_delta=0.07)
+        marshaller = make_marshaller(setup, "continual")
         engine = marshaller.inference
         frames = np.random.default_rng(0).normal(
             size=(1, CONFIG.window_size, model.num_features)
@@ -230,5 +222,4 @@ class TestHotSwapRebase:
         marshaller.inference = marshaller.inference.rebind(model)
         swapped = marshaller.inference
         assert type(swapped) is ContinualInference
-        assert swapped.gate_delta == 0.07
         assert not swapped.has_state("lane0")

@@ -19,9 +19,9 @@ from repro.cloud import (
     StreamMarshaller,
 )
 from repro.cloud.pricing import TieredPricing
-from repro.core import EventHitConfig, train_eventhit
+from repro.core import EventHit, EventHitConfig, train_eventhit
 from repro.features import CovariatePipeline, FeatureExtractor, Standardizer
-from repro.fleet import FleetCIService, FleetLane, FleetMarshaller
+from repro.fleet import FleetCIService, FleetLane, FleetMarshaller, FleetScheduler
 from repro.obs import configure, get_registry
 from repro.video import make_stream, make_thumos
 from repro.data import build_experiment_data
@@ -383,3 +383,65 @@ class TestStandardizationWork:
         rows, stream_frames = self.wide_run(setup, scale)
         assert stream_frames > spec.window_size
         assert rows == self.WIDE_LANES * self.HORIZONS * spec.window_size
+
+
+class RecordingScheduler(FleetScheduler):
+    """Keeps each tick's relay pool in the order the fleet built it."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.pools = []
+
+    def order(self, requests, context):
+        self.pools.append(list(requests))
+        return list(requests)
+
+
+class TestRelayPoolOrder:
+    def test_fresh_requests_grouped_by_lane_then_event_then_run(self):
+        # Three event heads, untrained weights, every pair kept and each
+        # pair's scores cut into runs: the pool must list lane 0's
+        # requests first, event by event, each event's runs in frame order.
+        spec = make_thumos(scale=0.06)
+        extractor = FeatureExtractor()
+        lanes = []
+        for i in range(3):
+            stream = make_stream(spec, seed=3000 + i, name=f"order{i}")
+            lanes.append(
+                FleetLane(
+                    stream=stream,
+                    features=extractor.extract(stream, spec.event_types),
+                )
+            )
+        model = EventHit(
+            lanes[0].features.num_channels, len(spec.event_types), config=CONFIG
+        )
+        marshaller = StreamMarshaller(
+            model,
+            spec.event_types,
+            CovariatePipeline(spec.window_size),
+            tau1=0.0,
+            tau2=0.5,
+            segmented=True,
+            segment_min_gap=1,
+        )
+        scheduler = RecordingScheduler()
+        FleetMarshaller(marshaller, scheduler=scheduler).run(
+            lanes, fresh_service(lanes), max_horizons=3
+        )
+        lane_index = {lane.name: i for i, lane in enumerate(lanes)}
+        event_index = {event: k for k, event in enumerate(spec.event_types)}
+        pairs, repeated = set(), False
+        for pool in scheduler.pools:
+            keys = [
+                (lane_index[r.lane], event_index[r.event_type], r.segment.start)
+                for r in pool
+            ]
+            assert keys == sorted(keys)
+            pool_pairs = [key[:2] for key in keys]
+            repeated |= len(set(pool_pairs)) < len(pool_pairs)
+            pairs.update(pool_pairs)
+        assert {lane for lane, _ in pairs} == {0, 1, 2}
+        assert {event for _, event in pairs} == {0, 1, 2}
+        assert repeated, "no (lane, event) pair relayed more than one run"

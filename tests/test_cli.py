@@ -397,6 +397,16 @@ class TestWatchCommand:
         assert args.history == 240
         assert not args.plain
 
+    def test_removed_gated_engine_is_an_argparse_error(self, capsys):
+        for argv in (["watch", "--engine", "gated"], ["watch", "--gate-delta", "0.05"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv, out=io.StringIO())
+            assert excinfo.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "invalid choice: 'gated'" in err
+        assert "'windowed', 'continual'" in err
+        assert "unrecognized arguments: --gate-delta" in err
+
     def test_plain_run_renders_dashboard_and_summary(self, tmp_path):
         ts = tmp_path / "ts.json"
         fl = tmp_path / "flight.json"
