@@ -13,6 +13,7 @@ import pytest
 from benchmarks.conftest import bench_settings
 from repro.baselines import EHC, EHCR
 from repro.conformal import ConformalClassifier, ConformalRegressor
+from repro.core import BatchedInference
 from repro.harness import format_table, run_experiment
 from repro.metrics import evaluate, existence_recall
 
@@ -27,6 +28,7 @@ def test_calibration_size(benchmark, experiment, save_result):
         calibration = experiment.data.calibration
         test = experiment.data.test
         rng = np.random.default_rng(0)
+        engine = BatchedInference(experiment.model)
         rows = []
         for fraction in (0.1, 0.25, 0.5, 1.0):
             size = max(10, int(len(calibration) * fraction))
@@ -35,8 +37,9 @@ def test_calibration_size(benchmark, experiment, save_result):
             )
             if not (subset.labels > 0).any():
                 continue
-            classifier = ConformalClassifier(experiment.model).calibrate(subset)
-            regressor = ConformalRegressor(experiment.model).calibrate(subset)
+            output = engine.predict(subset.covariates)
+            classifier = ConformalClassifier().calibrate(output, subset)
+            regressor = ConformalRegressor().calibrate(output, subset)
             ehcr = EHCR(experiment.model, classifier, regressor)
             for c in (0.8, 0.9):
                 prediction = ehcr.predict(test, confidence=c, alpha=c)

@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import bench_settings
-from repro.core import EventHitConfig, threshold_predictions, train_eventhit
+from repro.core import (
+    BatchedInference,
+    EventHitConfig,
+    threshold_predictions,
+    train_eventhit,
+)
 from repro.data import DatasetBuilder
 from repro.features import (
     AutoencoderReducer,
@@ -72,7 +77,8 @@ def _pipeline_run(kind, spec, seed=0):
     settings = bench_settings()
     config = settings.model_config(spec.window_size, spec.horizon)
     model, _ = train_eventhit(train, config=config)
-    prediction = threshold_predictions(model.predict(test.covariates))
+    output = BatchedInference(model).predict(test.covariates)
+    prediction = threshold_predictions(output)
     return evaluate(prediction, test), features["train"].num_channels
 
 

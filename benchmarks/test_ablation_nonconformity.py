@@ -17,6 +17,7 @@ from repro.conformal import (
     margin_nonconformity,
     nonconformity_from_score,
 )
+from repro.core import BatchedInference
 from repro.harness import format_table, run_experiment
 from repro.metrics import evaluate
 
@@ -27,8 +28,9 @@ def experiment():
 
 
 def _evaluate_measure(experiment, measure, confidence=0.9):
-    classifier = ConformalClassifier(experiment.model, nonconformity=measure)
-    classifier.calibrate(experiment.data.calibration)
+    calibration = experiment.data.calibration
+    output = BatchedInference(experiment.model).predict(calibration.covariates)
+    classifier = ConformalClassifier(measure).calibrate(output, calibration)
     ehc = EHC(experiment.model, classifier)
     prediction = ehc.predict(experiment.data.test, confidence=confidence)
     return evaluate(prediction, experiment.data.test)
@@ -71,10 +73,9 @@ def test_pooled_vs_mondrian_calibration(benchmark, save_result):
     experiment = run_experiment("TA7", settings=bench_settings())
 
     def run():
-        output = experiment.model.predict(experiment.data.test.covariates)
-        calib_output = experiment.model.predict(
-            experiment.data.calibration.covariates
-        )
+        engine = BatchedInference(experiment.model)
+        output = engine.predict(experiment.data.test.covariates)
+        calib_output = engine.predict(experiment.data.calibration.covariates)
         calib_labels = experiment.data.calibration.labels > 0
         c = 0.9
 

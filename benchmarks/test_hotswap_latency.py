@@ -2,8 +2,9 @@
 
 The lifecycle contract says a model swap delays frames "by at most the
 swap pause" and never drops any.  This benchmark puts a number on that
-pause: one applied swap (rebind model + batched engine, recalibrate both
-conformal components on the audit buffer, rebase the drift detectors)
+pause: one applied swap (install the candidate's engine, recalibrate both
+conformal components on one forward over the audit buffer, rebase the
+drift detectors)
 measured against one marshalled horizon of ordinary serving work on the
 same machine.  The gated ratio — horizon seconds over swap seconds,
 published through ``extra_info["speedup"]`` — is machine-independent:
@@ -78,11 +79,12 @@ def test_hotswap_latency(benchmark, swap_setup, save_result):
     assert report.frames_lost == 0
     assert len(controller.buffer) > 0
 
-    # Arm 2: the swap pause.  A published copy of the incumbent stands in
-    # for a canary-approved candidate; each round re-stages it so
-    # maybe_swap runs its full path (rebind + recalibrate + rebase).
+    # Arm 2: the swap pause.  A published copy of the incumbent, in an
+    # engine of the serving kind, stands in for a canary-approved
+    # candidate; each round re-stages it so maybe_swap runs its full path
+    # (install the engine + recalibrate on one forward + rebase).
     entry = registry.publish(marshaller.model, note="benchmark candidate")
-    candidate = registry.load(entry.version)
+    candidate = marshaller.inference.rebind(registry.load(entry.version))
 
     def stage():
         controller._pending = (entry, candidate)

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.cloud import CloudInferenceService, StreamMarshaller
 from repro.conformal import ConformalClassifier, ConformalRegressor
-from repro.core import EventHitConfig, train_eventhit
+from repro.core import BatchedInference, EventHitConfig, train_eventhit
 from repro.data import build_experiment_data
 from repro.drift import MissRateCusum
 from repro.features import CovariatePipeline, FeatureExtractor
@@ -72,8 +72,9 @@ def main() -> None:
           f"lead time 440 -> 60 frames)...")
 
     def deploy(audit_rate):
-        classifier = ConformalClassifier(model).calibrate(data.calibration)
-        regressor = ConformalRegressor(model).calibrate(data.calibration)
+        output = BatchedInference(model).predict(data.calibration.covariates)
+        classifier = ConformalClassifier().calibrate(output, data.calibration)
+        regressor = ConformalRegressor().calibrate(output, data.calibration)
         marshaller = StreamMarshaller(
             model, data.event_types, pipeline,
             classifier=classifier, regressor=regressor,

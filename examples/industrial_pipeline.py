@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.cloud import CloudInferenceService, StreamMarshaller
 from repro.conformal import ConformalClassifier, ConformalRegressor
-from repro.core import EventHitConfig, train_eventhit
+from repro.core import BatchedInference, EventHitConfig, train_eventhit
 from repro.data import DatasetBuilder
 from repro.features import CovariatePipeline, FeatureExtractor, Standardizer
 from repro.video.arrivals import GeometricArrivals
@@ -76,8 +76,9 @@ def main() -> None:
     )
     print("Training EventHit on the inspection features...")
     model, _ = train_eventhit(train_records, config=config)
-    classifier = ConformalClassifier(model).calibrate(calib_records)
-    regressor = ConformalRegressor(model).calibrate(calib_records)
+    output = BatchedInference(model).predict(calib_records.covariates)
+    classifier = ConformalClassifier().calibrate(output, calib_records)
+    regressor = ConformalRegressor().calibrate(output, calib_records)
 
     shift_features = extractor.extract(shift_line, [DEFECT])
 

@@ -24,6 +24,7 @@ import numpy as np
 from repro.cloud import CloudInferenceService, FlatPricing
 from repro.conformal import ConformalClassifier, ConformalRegressor
 from repro.core import (
+    BatchedInference,
     EventHitConfig,
     load_checkpoint,
     save_checkpoint,
@@ -93,9 +94,10 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Edge process: reload + calibrate + consume the live stream.
     # ------------------------------------------------------------------
-    edge_model = load_checkpoint(checkpoint)
-    classifier = ConformalClassifier(edge_model).calibrate(calib_records)
-    regressor = ConformalRegressor(edge_model).calibrate(calib_records)
+    engine = BatchedInference(load_checkpoint(checkpoint))
+    calib_output = engine.predict(calib_records.covariates)
+    classifier = ConformalClassifier().calibrate(calib_output, calib_records)
+    regressor = ConformalRegressor().calibrate(calib_output, calib_records)
 
     live_stream = build_stream(80_000, seed=3)
     live_features = extractor.extract(live_stream, [TRUCK])
@@ -116,7 +118,7 @@ def main() -> None:
         if frame != next_decision:
             continue
         # One horizon decision: predict, relay, skip ahead.
-        output = edge_model.predict(buffer.window()[None])
+        output = engine.predict(buffer.window()[None])
         exists = classifier.predict(output, confidence)
         batch = regressor.predict(output, exists, alpha)
         truth = set()

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.cloud import CloudInferenceService, FlatPricing, StreamMarshaller
 from repro.conformal import ConformalClassifier, ConformalRegressor
-from repro.core import EventHitConfig, train_eventhit
+from repro.core import BatchedInference, EventHitConfig, train_eventhit
 from repro.data import DatasetBuilder
 from repro.features import CovariatePipeline, FeatureExtractor, Standardizer
 from repro.video.arrivals import PoissonArrivals
@@ -101,8 +101,9 @@ def main() -> None:
         f"{history.final_train_loss:.4f} ({history.seconds:.1f}s)"
     )
 
-    classifier = ConformalClassifier(model).calibrate(calib_records)
-    regressor = ConformalRegressor(model).calibrate(calib_records)
+    output = BatchedInference(model).predict(calib_records.covariates)
+    classifier = ConformalClassifier().calibrate(output, calib_records)
+    regressor = ConformalRegressor().calibrate(output, calib_records)
 
     # ------------------------------------------------------------------
     # Deployment: marshal the live stream through the paid CI.

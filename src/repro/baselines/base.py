@@ -12,6 +12,7 @@ from typing import Dict, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
+from ..core.batched import BatchedInference
 from ..core.inference import PredictionBatch
 from ..core.model import EventHit, EventHitOutput
 from ..data.records import RecordSet
@@ -32,7 +33,9 @@ class Predictor(Protocol):
 class OutputCache:
     """Memoise EventHit forward passes per RecordSet.
 
-    Knob sweeps call ``predict`` dozens of times on the same records; the
+    The forward is the serving engine's (a
+    :class:`~repro.core.batched.BatchedInference` over ``model``).  Knob
+    sweeps call ``predict`` dozens of times on the same records; the
     network output does not depend on the knobs, so it is computed once.
     The cache is keyed by object identity — RecordSets are treated as
     immutable snapshots throughout the harness.  Each entry holds its
@@ -42,13 +45,13 @@ class OutputCache:
     """
 
     def __init__(self, model: EventHit):
-        self.model = model
+        self.inference = BatchedInference(model)
         self._store: Dict[int, Tuple[RecordSet, EventHitOutput]] = {}
 
     def output_for(self, records: RecordSet) -> EventHitOutput:
         entry = self._store.get(id(records))
         if entry is None or entry[0] is not records:
-            entry = (records, self.model.predict(records.covariates))
+            entry = (records, self.inference.predict(records.covariates))
             self._store[id(records)] = entry
         return entry[1]
 

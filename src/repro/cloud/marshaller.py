@@ -242,10 +242,10 @@ class StreamMarshaller:
         inside one occurrence).
     inference:
         Optional :class:`~repro.core.batched.BatchedInference` engine to
-        run the per-horizon forward pass through.  Defaults to a fresh
-        engine over ``model``.  The engine is batch-size invariant, which
-        is what makes an N-lane fleet run bitwise equivalent to N
-        single-stream runs.
+        run the per-horizon forward pass through, bound to ``model`` (the
+        default is a fresh engine over it); :attr:`model` reads it back.
+        The engine is batch-size invariant, which is what makes an N-lane
+        fleet run bitwise equivalent to N single-stream runs.
     """
 
     def __init__(
@@ -276,7 +276,8 @@ class StreamMarshaller:
             raise ValueError("confidence must be in [0, 1]")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        self.model = model
+        if inference is not None and inference.model is not model:
+            raise ValueError("inference engine is bound to another model")
         self.event_types = list(event_types)
         self.pipeline = pipeline
         self.classifier = classifier
@@ -291,6 +292,11 @@ class StreamMarshaller:
         self.segment_min_gap = segment_min_gap
         self.inference = inference if inference is not None else BatchedInference(model)
         self.horizon = model.config.horizon
+
+    @property
+    def model(self) -> EventHit:
+        """The served model: the one the inference engine is bound to."""
+        return self.inference.model
 
     # ------------------------------------------------------------------
     def decide(self, output) -> tuple:

@@ -33,6 +33,13 @@ def nonconformity_from_score(scores: np.ndarray) -> np.ndarray:
     return 1.0 - scores
 
 
+def check_calibration_output(output, calibration) -> None:
+    """Raise unless ``output`` has one row per record, one column per event."""
+    want = (len(calibration), calibration.num_events)
+    if output.scores.shape != want:
+        raise ValueError(f"output is {output.scores.shape}, calibration is {want}")
+
+
 def margin_nonconformity(scores: np.ndarray) -> np.ndarray:
     """Alternative measure: (1−b) − b, the margin toward the negative class.
 

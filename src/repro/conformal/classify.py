@@ -17,10 +17,10 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..core.model import EventHit, EventHitOutput
+from ..core.model import EventHitOutput
 from ..data.records import RecordSet
 from ..obs import span
-from .base import nonconformity_from_score
+from .base import check_calibration_output, nonconformity_from_score
 
 __all__ = ["ConformalClassifier"]
 
@@ -38,20 +38,15 @@ class _EventCalibration:
 class ConformalClassifier:
     """Per-event conformal existence predictor calibrated on D_c-calib.
 
+    :meth:`calibrate` takes the serving engine's output over its records.
+
     Parameters
     ----------
-    model:
-        A trained EventHit (only its existence scores b_k are used).
     nonconformity:
         Score → nonconformity mapping; defaults to the paper's a = 1 − b.
     """
 
-    def __init__(
-        self,
-        model: EventHit,
-        nonconformity: Optional[NonconformityFn] = None,
-    ):
-        self.model = model
+    def __init__(self, nonconformity: Optional[NonconformityFn] = None):
         self.nonconformity = nonconformity or nonconformity_from_score
         self._calibrations: Optional[List[_EventCalibration]] = None
 
@@ -60,20 +55,18 @@ class ConformalClassifier:
     def is_calibrated(self) -> bool:
         return self._calibrations is not None
 
-    def calibrate(self, calibration: RecordSet) -> "ConformalClassifier":
-        """Score the calibration set and store per-event positive scores.
+    def calibrate(
+        self, output: EventHitOutput, calibration: RecordSet
+    ) -> "ConformalClassifier":
+        """Store per-event positive nonconformity scores.
 
+        ``output`` is EventHit's output over ``calibration``'s covariates.
         Mirrors Algorithm 1 lines 4–6: nonconformity is computed for every
         calibration record; the p-value denominator uses only records with
         the event present.
         """
-        if calibration.num_events != self.model.num_events:
-            raise ValueError(
-                f"calibration has {calibration.num_events} events, model "
-                f"has {self.model.num_events}"
-            )
+        check_calibration_output(output, calibration)
         with span("calibrate.classify", records=len(calibration)):
-            output = self.model.predict(calibration.covariates)
             scores = self.nonconformity(output.scores)  # (C, K)
             calibrations: List[_EventCalibration] = []
             for k in range(calibration.num_events):

@@ -19,10 +19,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.inference import PredictionBatch, extract_intervals, kept_pair_intervals
-from ..core.model import EventHit, EventHitOutput
+from ..core.model import EventHitOutput
 from ..data.records import RecordSet
 from ..obs import span
-from .base import residual_quantile
+from .base import check_calibration_output, residual_quantile
 
 __all__ = ["ConformalRegressor"]
 
@@ -38,19 +38,18 @@ class _EventResiduals:
 class ConformalRegressor:
     """Per-event conformal interval widener calibrated on D_r-calib.
 
+    :meth:`calibrate` takes the serving engine's output over its records.
+
     Parameters
     ----------
-    model:
-        A trained EventHit.
     tau2:
         Threshold used to extract raw intervals from θ scores (Eq. 5);
         the paper's EHR/EHCR variants keep τ2 = 0.5.
     """
 
-    def __init__(self, model: EventHit, tau2: float = 0.5):
+    def __init__(self, tau2: float = 0.5):
         if not 0.0 <= tau2 <= 1.0:
             raise ValueError("tau2 must be in [0, 1]")
-        self.model = model
         self.tau2 = tau2
         self._residuals: Optional[List[_EventResiduals]] = None
         # α → (K, 2) quantiles; valid until the next calibrate().
@@ -61,15 +60,15 @@ class ConformalRegressor:
         return self._residuals is not None
 
     # ------------------------------------------------------------------
-    def calibrate(self, calibration: RecordSet) -> "ConformalRegressor":
-        """Algorithm 2 lines 5–12: collect per-event start/end residuals."""
-        if calibration.num_events != self.model.num_events:
-            raise ValueError(
-                f"calibration has {calibration.num_events} events, model "
-                f"has {self.model.num_events}"
-            )
+    def calibrate(
+        self, output: EventHitOutput, calibration: RecordSet
+    ) -> "ConformalRegressor":
+        """Algorithm 2 lines 5–12: collect per-event start/end residuals.
+
+        ``output`` is EventHit's output over ``calibration``'s covariates.
+        """
+        check_calibration_output(output, calibration)
         with span("calibrate.regress", records=len(calibration)):
-            output = self.model.predict(calibration.covariates)
             pred_starts, pred_ends = extract_intervals(
                 output.frame_scores, self.tau2
             )

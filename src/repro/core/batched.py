@@ -30,8 +30,12 @@ one stack of GEMMs per layer position.  :meth:`BatchedInference.rebind`
 returns a fresh engine; a caller that changes the bound model's
 parameters in place calls :meth:`BatchedInference.refresh_weights`.
 Inference is always in eval semantics (dropout off) and never touches the
-autograd graph, which also makes the single-stream path measurably faster
-than ``EventHit.predict``.
+autograd graph.
+
+This is the one inference forward: the fleet serves through it, and
+calibration, the §VI.B figures, recalibration and the canary score
+through it, so the conformal guarantees hold for the scores served.
+``EventHit.forward`` is the training forward and the tests' reference.
 """
 
 from __future__ import annotations
@@ -186,7 +190,7 @@ class BatchedInference:
     ``np.matmul`` over the same ``(TILE_ROWS, I)`` tiles per head.  The
     recurrent encoder's and the heads' weights come from a cache built on
     the first forward (:meth:`refresh_weights`).  Outputs therefore agree
-    with ``EventHit.predict`` to floating-point round-off (~1 ulp) and
+    with ``EventHit.forward`` to floating-point round-off (~1 ulp) and
     agree with *themselves* bitwise across any batch split.
     """
 

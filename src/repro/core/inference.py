@@ -15,9 +15,10 @@ corner unspecified; an empty range would silently drop the event).
 The §VI.B variants and the serving marshaller decide through one rule,
 :func:`decide_intervals`, which swaps in C-CLASSIFY and C-REGRESS when given.
 
-The Θ scores come from ``EventHit.predict`` (the fused kernels of
-:mod:`repro.nn.fused`) or a serving engine (the same kernels with every
-affine map through :func:`~repro.core.batched.rowstable_matmul`).
+The Θ scores come from a serving engine
+(:class:`~repro.core.batched.BatchedInference`: the fused kernels of
+:mod:`repro.nn.fused` with every affine map through
+:func:`~repro.core.batched.rowstable_matmul`), offline and served alike.
 """
 
 from __future__ import annotations

@@ -112,9 +112,6 @@ class EventHitOutput:
             return self._frame_scores.shape[2]
         return self._frame_logits.shape[2]
 
-    def subset(self, indices) -> "EventHitOutput":
-        return EventHitOutput(self.scores[indices], self.frame_scores[indices])
-
 
 class EventHit(Module):
     """EventHit: shared LSTM encoder + per-event prediction heads.
@@ -231,28 +228,3 @@ class EventHit(Module):
         scores = theta[:, :, 0]
         frame_scores = theta[:, :, 1:]
         return scores, frame_scores
-
-    def predict(self, covariates: np.ndarray, batch_size: int = 512) -> EventHitOutput:
-        """Inference pass (eval mode, no autograd), batched for memory.
-
-        Under ``no_grad`` the LSTM encoder takes the graph-free fused
-        forward (:func:`repro.nn.fused.lstm_forward_numpy`) — no backward
-        closures or autograd bookkeeping are allocated, only the raw
-        numpy recurrence with preallocated gate buffers.
-        """
-        covariates = np.asarray(covariates, dtype=np.float64)
-        was_training = self.training
-        self.eval()
-        scores_parts, frames_parts = [], []
-        try:
-            with nn.no_grad():
-                for lo in range(0, covariates.shape[0], batch_size):
-                    s, f = self.forward(covariates[lo : lo + batch_size])
-                    scores_parts.append(s.data)
-                    frames_parts.append(f.data)
-        finally:
-            self.train(was_training)
-        return EventHitOutput(
-            np.concatenate(scores_parts, axis=0),
-            np.concatenate(frames_parts, axis=0),
-        )

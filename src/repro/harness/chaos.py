@@ -311,18 +311,18 @@ def lifecycle_marshaller(
 ) -> StreamMarshaller:
     """A deployment-shaped marshaller with *private* conformal components.
 
-    Lifecycle swaps rebind and recalibrate the marshaller's classifier and
-    regressor in place; sharing the experiment's cached components (as
+    Lifecycle swaps recalibrate the marshaller's classifier and regressor
+    in place; sharing the experiment's cached components (as
     :func:`chaos_marshaller` does, correctly, for read-only runs) would
     leak one chaos cell's swaps into the next.
     """
     marshaller = chaos_marshaller(experiment, confidence=confidence, alpha=alpha)
-    marshaller.classifier = ConformalClassifier(experiment.model).calibrate(
-        experiment.data.calibration
-    )
+    calibration = experiment.data.calibration
+    output = marshaller.inference.predict(calibration.covariates)
+    marshaller.classifier = ConformalClassifier().calibrate(output, calibration)
     marshaller.regressor = ConformalRegressor(
-        experiment.model, tau2=experiment.regressor.tau2
-    ).calibrate(experiment.data.calibration)
+        tau2=experiment.regressor.tau2
+    ).calibrate(output, calibration)
     return marshaller
 
 

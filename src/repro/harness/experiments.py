@@ -29,7 +29,7 @@ from ..baselines import (
     VQSPredictor,
 )
 from ..conformal import ConformalClassifier, ConformalRegressor
-from ..core import EventHitConfig, train_eventhit
+from ..core import BatchedInference, EventHitConfig, train_eventhit
 from ..data import ExperimentData, build_experiment_data
 from ..metrics import EvaluationSummary, evaluate
 from ..obs import inc, log_info, span
@@ -254,10 +254,11 @@ def run_experiment(
             )
         config = settings.model_config(spec.window_size, spec.horizon)
         # train_eventhit opens the "train" span; the conformal components
-        # open "calibrate.classify" / "calibrate.regress".
+        # open "calibrate.classify" / "calibrate.regress" over one forward.
         model, history = train_eventhit(data.train, config=config, encoder=encoder)
-        classifier = ConformalClassifier(model).calibrate(data.calibration)
-        regressor = ConformalRegressor(model).calibrate(data.calibration)
+        output = BatchedInference(model).predict(data.calibration.covariates)
+        classifier = ConformalClassifier().calibrate(output, data.calibration)
+        regressor = ConformalRegressor().calibrate(output, data.calibration)
     log_info(
         "experiment.ready",
         task=task.task_id,

@@ -25,13 +25,13 @@ Contracts the tests pin:
   registry-less response, whose whole point is to recalibrate the
   serving conformal layers from inside this hook.
 * **swaps are atomic and honest** — :meth:`~LifecycleController.maybe_swap`
-  applies a staged candidate between horizons: model, batched-inference
-  engine, and both conformal components are rebound and recalibrated on
-  the audit buffer in one step, the drift detectors are rebased onto the
-  new regime, and the first post-swap horizon per lane is declared
-  guarantee-voided (``swap_voided_frames``) — frames are delayed by at
-  most the swap pause, never dropped, and the conformal guarantee is
-  never silently carried across versions.
+  applies a staged candidate between horizons: the engine the canary
+  scored it through is installed, both conformal components are
+  recalibrated on one forward of it over the audit buffer, the drift
+  detectors are rebased onto the new regime, and the first post-swap
+  horizon per lane is declared guarantee-voided (``swap_voided_frames``)
+  — frames are delayed by at most the swap pause, never dropped, and the
+  conformal guarantee is never silently carried across versions.
 * **failures fall back** — a retrain blow-up, torn checkpoint write,
   corrupt manifest, or failed/flaky canary all leave the incumbent
   serving, mark the registry accordingly, and file a
@@ -47,7 +47,7 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cloud.pricing import REKOGNITION
-from ..core.model import EventHit
+from ..core.batched import BatchedInference
 from ..core.trainer import train_eventhit
 from ..data.builder import horizon_targets
 from ..data.records import RecordSet
@@ -247,7 +247,7 @@ class LifecycleController:
         self.cusum = cusum or MissRateCusum(budget=1.0 - marshaller.confidence)
         self.pvalue_detector = pvalue_detector or PValueDriftDetector()
         self._rng = np.random.default_rng(seed)
-        self._pending: Optional[Tuple[ModelVersion, EventHit]] = None
+        self._pending: Optional[Tuple[ModelVersion, BatchedInference]] = None
         self._audits_since_retrain = 0
         self._last_swap_tick = 0
         # Per stream, the audited horizons as inclusive frame spans (each
@@ -388,20 +388,20 @@ class LifecycleController:
     # ------------------------------------------------------------------
     # Recalibration (shared by the registry-less response and the swap)
     # ------------------------------------------------------------------
-    def _recalibrate(self, model: EventHit) -> None:
-        """Calibrate both conformal layers for ``model`` on the audit
-        buffer and hand the drift detectors to the new regime."""
+    def _recalibrate(self) -> None:
+        """Calibrate both conformal layers on one forward of the serving
+        engine over the audit buffer; hand the drift detectors to the new
+        regime."""
         m = self.marshaller
         records = self.buffer.to_records()
-        m.classifier.model = model
-        m.classifier.calibrate(records)
-        m.regressor.model = model
-        m.regressor.calibrate(records)
+        output = m.inference.predict(records.covariates)
+        m.classifier.calibrate(output, records)
+        m.regressor.calibrate(output, records)
         self.cusum.reset()
         # The KS reference holds p-values scored against the old
         # calibration; rebase it on the buffered positives re-scored
         # under the fresh one.
-        p_values = m.classifier.p_values(model.predict(records.covariates))
+        p_values = m.classifier.p_values(output)
         self.pvalue_detector.rebase(p_values[records.labels > 0])
 
     def _recalibrate_in_place(self, tick: int, reason: str) -> None:
@@ -411,7 +411,7 @@ class LifecycleController:
         self.recalibrations += 1
         inc("lifecycle.recalibrations")
         with span("lifecycle.recalibrate", reason=reason, tick=tick):
-            self._recalibrate(self.marshaller.model)
+            self._recalibrate()
         log_info("lifecycle.recalibrated", reason=reason, tick=tick)
 
     # ------------------------------------------------------------------
@@ -455,12 +455,14 @@ class LifecycleController:
                 self._postmortem("lifecycle-publish-failure", tick, exc)
                 self._rearm_detectors()
                 return
-        verdict = self._canary(candidate, canary_records)
+        # Of the serving kind: the canary prepares it, a swap installs it.
+        engine = self.marshaller.inference.rebind(candidate)
+        verdict = self._canary(engine, canary_records)
         self.canary_verdicts.append(verdict)
         if verdict.passed:
             self.registry.mark(entry.version, "good")
             inc("lifecycle.canary_pass")
-            self._pending = (entry, candidate)
+            self._pending = (entry, engine)
             log_info(
                 "lifecycle.canary_passed",
                 version=entry.version,
@@ -488,12 +490,13 @@ class LifecycleController:
         log_warning("lifecycle.failure", reason=reason, tick=tick, detail=str(detail))
         get_flight_recorder().auto_dump(reason, tick)
 
-    def _canary(self, candidate: EventHit, canary: RecordSet) -> CanaryVerdict:
-        """Score candidate vs incumbent on the held-back newest audits."""
+    def _canary(self, candidate: BatchedInference, canary: RecordSet) -> CanaryVerdict:
+        """Score candidate vs incumbent engine on the held-back newest
+        audits, one forward each."""
         with span("lifecycle.canary", records=len(canary)):
             tau1 = self.marshaller.tau1
             labels = canary.labels > 0
-            inc_scores = self.marshaller.model.predict(canary.covariates).scores
+            inc_scores = self.marshaller.inference.predict(canary.covariates).scores
             cand_scores = candidate.predict(canary.covariates).scores
 
             def recall(scores: np.ndarray) -> float:
@@ -538,16 +541,14 @@ class LifecycleController:
         """
         if self._pending is None:
             return False
-        entry, model = self._pending
+        entry, engine = self._pending
         self._pending = None
         m = self.marshaller
         with span("lifecycle.swap", version=entry.version, tick=tick):
-            m.model = model
-            # rebind preserves the engine kind (windowed or continual);
-            # the continual engine drops all carried lane state here —
-            # the post-swap warm-up is the state rebase.
-            m.inference = m.inference.rebind(model)
-            self._recalibrate(model)
+            # The canary's engine carries no lane state: the post-swap
+            # warm-up is the state rebase.
+            m.inference = engine
+            self._recalibrate()
             for report in reports:
                 report.model_swaps += 1
                 report.swap_voided_frames += m.horizon

@@ -16,8 +16,8 @@ same idea to the autograd graph itself:
   performs hand-derived backpropagation-through-time (two batched GEMMs for
   the weight gradients instead of ``2·T`` graph nodes).
 * :func:`lstm_forward_numpy` / :func:`gru_forward_numpy` — graph-free
-  numpy forwards shared by the ``no_grad`` inference paths
-  (``EventHit.predict``, ``Trainer.evaluate_loss``) and by
+  numpy forwards shared by the ``no_grad`` evaluation path
+  (``Trainer.evaluate_loss``) and by
   :class:`repro.core.batched.BatchedInference` (which injects its
   row-stable matmul to keep batch-size invariance).
 * :func:`fused_weighted_bce_sum` / :func:`fused_binary_cross_entropy` —

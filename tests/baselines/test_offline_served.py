@@ -3,24 +3,31 @@
 Every Fig. 4–8 number comes from :class:`~repro.baselines.EventHitRule`
 over a cached forward pass; the fleet serves
 :meth:`StreamMarshaller.decide <repro.cloud.StreamMarshaller.decide>`.
-Both call :func:`~repro.core.inference.decide_intervals`.  The first pin
-runs the two entry points on one trained model's test output; the second
-holds the shared rule to a full-array reference: ``extract_intervals``
-over every pair masked by existence, and ``ConformalRegressor.widen``
-over those raw intervals.
+Both score through a serving engine and both call
+:func:`~repro.core.inference.decide_intervals`.  The first pins run the
+two entry points on one trained model's test windows, through each engine
+:func:`~repro.core.make_engine` builds; the second holds the shared rule
+to a full-array reference: ``extract_intervals`` over every pair masked
+by existence, and ``ConformalRegressor.widen`` over those raw intervals.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import EHC, EHCR, EHO, EHR, EventHitRule
+from repro.baselines import EHC, EHCR, EHO, EHR, EventHitRule, OutputCache
 from repro.cloud import StreamMarshaller
-from repro.conformal import ConformalClassifier, ConformalRegressor
-from repro.core import EventHitConfig, EventHitOutput, train_eventhit
+from repro.core import (
+    ENGINES,
+    EventHitConfig,
+    EventHitOutput,
+    make_engine,
+    train_eventhit,
+)
 from repro.core.inference import PredictionBatch, decide_intervals, extract_intervals
 from repro.data import RecordSet
 from repro.features import CovariatePipeline
 from repro.video.events import EventType
+from tests.helpers import calibrated_classifier, calibrated_regressor
 
 HORIZON = 24
 EVENTS = 2
@@ -62,8 +69,8 @@ def trained():
     calibration = records(1)
     return (
         model,
-        ConformalClassifier(model).calibrate(calibration),
-        ConformalRegressor(model, tau2=REGRESSOR_TAU2).calibrate(calibration),
+        calibrated_classifier(model, calibration),
+        calibrated_regressor(model, calibration, tau2=REGRESSOR_TAU2),
         records(2),
     )
 
@@ -106,7 +113,7 @@ class TestOfflineEqualsServed:
                 **{**UNREAD, **rule.knobs, **knobs},
             )
             offline = rule.predict(test, **knobs)
-            exists, kept = served.decide(model.predict(test.covariates))
+            exists, kept = served.decide(served.inference.predict(test.covariates))
             assert np.array_equal(offline.exists, exists)
             assert 0 < exists.sum() <= exists.size
             assert kept == [
@@ -115,6 +122,30 @@ class TestOfflineEqualsServed:
                 for k in range(EVENTS)
                 if exists[b, k]
             ]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ehcr_equals_decide_on_the_served_forward(self, trained, engine):
+        """Same forward: the rule's cached output is bitwise the serving
+        engine's on D_test windows, so offline EHCR is bitwise the served
+        decision for either engine kind."""
+        model, classifier, regressor, test = trained
+        served = StreamMarshaller(
+            model, EVENT_TYPES, CovariatePipeline(WINDOW),
+            classifier=classifier, regressor=regressor,
+            inference=make_engine(engine, model),
+        )
+        output = served.inference.predict(test.covariates)
+        cached = OutputCache(model).output_for(test)
+        assert cached.scores.tobytes() == output.scores.tobytes()
+        assert cached.frame_scores.tobytes() == output.frame_scores.tobytes()
+        offline = EHCR(model, classifier, regressor).predict(test)
+        exists, kept = served.decide(output)
+        assert np.array_equal(offline.exists, exists)
+        assert 0 < exists.sum() < exists.size
+        assert kept == [
+            (b, k, [(int(offline.starts[b, k]), int(offline.ends[b, k]))])
+            for b, k in zip(*np.nonzero(exists))
+        ]
 
     def test_constructors_are_the_rule(self, trained):
         model, classifier, regressor, test = trained

@@ -8,6 +8,7 @@ from repro.core import EventHit, EventHitConfig
 from repro.data import RecordSet
 from repro.metrics import recall, spillage
 from repro.video.events import EventType
+from tests.helpers import engine_predict
 
 H = 12
 
@@ -96,7 +97,7 @@ class TestOutputCache:
         fresh = cache.output_for(records)
         assert fresh is not stale
         np.testing.assert_array_equal(
-            fresh.scores, model.predict(records.covariates).scores
+            fresh.scores, engine_predict(model, records.covariates).scores
         )
         assert not np.array_equal(fresh.scores, stale.scores)
 

@@ -9,6 +9,7 @@ from repro.core import EventHitConfig, train_eventhit
 from repro.data import RecordSet
 from repro.metrics import evaluate, existence_recall, recall, spillage
 from repro.video.events import EventType
+from tests.helpers import calibrated
 
 
 def synthetic_records(b=96, h=16, seed=0, m=6, d=4):
@@ -49,8 +50,7 @@ def stack():
     calib = synthetic_records(b=120, seed=1)
     test = synthetic_records(b=120, seed=2)
     model, _ = train_eventhit(train, config=CONFIG)
-    classifier = ConformalClassifier(model).calibrate(calib)
-    regressor = ConformalRegressor(model).calibrate(calib)
+    classifier, regressor = calibrated(model, calib)
     return model, classifier, regressor, test
 
 
@@ -83,7 +83,7 @@ class TestEHC:
     def test_requires_calibrated_classifier(self, stack):
         model, _, _, _ = stack
         with pytest.raises(ValueError):
-            EHC(model, ConformalClassifier(model))
+            EHC(model, ConformalClassifier())
 
     def test_confidence_raises_recall(self, stack):
         model, classifier, _, test = stack
@@ -113,7 +113,7 @@ class TestEHR:
     def test_requires_calibrated_regressor(self, stack):
         model, _, _, _ = stack
         with pytest.raises(ValueError):
-            EHR(model, ConformalRegressor(model))
+            EHR(model, ConformalRegressor())
 
     def test_alpha_widens_intervals(self, stack):
         model, _, regressor, test = stack
@@ -140,9 +140,9 @@ class TestEHCR:
     def test_requires_both_calibrations(self, stack):
         model, classifier, regressor, _ = stack
         with pytest.raises(ValueError):
-            EHCR(model, ConformalClassifier(model), regressor)
+            EHCR(model, ConformalClassifier(), regressor)
         with pytest.raises(ValueError):
-            EHCR(model, classifier, ConformalRegressor(model))
+            EHCR(model, classifier, ConformalRegressor())
 
     def test_can_reach_high_recall(self, stack):
         """The paper's key claim: EHCR reaches ~max REC with both knobs up."""

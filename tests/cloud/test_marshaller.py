@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.cloud import CloudInferenceService, StreamMarshaller
-from repro.conformal import ConformalClassifier, ConformalRegressor
-from repro.core import EventHitConfig, train_eventhit
+from repro.conformal import ConformalClassifier
+from repro.core import BatchedInference, EventHit, EventHitConfig, train_eventhit
 from repro.data import build_experiment_data
 from repro.features import CovariatePipeline, FeatureExtractor
 from repro.video import make_thumos
 from repro.video.datasets import EVENT_TYPES
+from tests.helpers import calibrated
 
 
 CONFIG = EventHitConfig(
@@ -53,8 +54,7 @@ class TestMarshaller:
 
     def test_recall_reasonable_with_conformal(self, setup):
         spec, data, model, pipeline = setup
-        classifier = ConformalClassifier(model).calibrate(data.calibration)
-        regressor = ConformalRegressor(model).calibrate(data.calibration)
+        classifier, regressor = calibrated(model, data.calibration)
         service = CloudInferenceService(data.test_stream)
         marshaller = StreamMarshaller(
             model,
@@ -76,8 +76,7 @@ class TestMarshaller:
         plain = StreamMarshaller(model, data.event_types, pipeline)
         plain_report = plain.run(data.test_stream, data.test_features, plain_service)
 
-        classifier = ConformalClassifier(model).calibrate(data.calibration)
-        regressor = ConformalRegressor(model).calibrate(data.calibration)
+        classifier, regressor = calibrated(model, data.calibration)
         conf_service = CloudInferenceService(data.test_stream)
         conf = StreamMarshaller(
             model, data.event_types, pipeline,
@@ -109,13 +108,26 @@ class TestMarshaller:
         service = CloudInferenceService(data.test_stream)
         with pytest.raises(ValueError):
             StreamMarshaller(model, [], pipeline)
-        uncal = ConformalClassifier(model)
+        uncal = ConformalClassifier()
         with pytest.raises(ValueError):
             StreamMarshaller(model, data.event_types, pipeline, classifier=uncal)
         with pytest.raises(ValueError):
             StreamMarshaller(model, data.event_types, pipeline, confidence=2.0)
         with pytest.raises(ValueError):
             StreamMarshaller(model, data.event_types, pipeline, alpha=0.0)
+
+    def test_engine_is_the_one_owner_of_the_model(self, setup):
+        spec, data, model, pipeline = setup
+        other = EventHit(model.num_features, model.num_events, config=CONFIG)
+        with pytest.raises(ValueError, match="another model"):
+            StreamMarshaller(
+                model, data.event_types, pipeline,
+                inference=BatchedInference(other),
+            )
+        marshaller = StreamMarshaller(model, data.event_types, pipeline)
+        assert marshaller.model is marshaller.inference.model is model
+        with pytest.raises(AttributeError):
+            marshaller.model = other
 
     def test_wrong_stream_binding_raises(self, setup):
         spec, data, model, pipeline = setup
@@ -188,8 +200,7 @@ class TestMarshallerObservability:
 
         spec, data, model, pipeline = setup
         obs.configure(enabled=True)
-        classifier = ConformalClassifier(model).calibrate(data.calibration)
-        regressor = ConformalRegressor(model).calibrate(data.calibration)
+        classifier, regressor = calibrated(model, data.calibration)
         service = CloudInferenceService(data.test_stream)
         marshaller = StreamMarshaller(
             model, data.event_types, pipeline,

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.cloud import CloudInferenceService, StreamMarshaller
-from repro.conformal import ConformalRegressor
 from repro.core import EventHitConfig, train_eventhit
 from repro.data import DatasetBuilder
 from repro.features import CovariatePipeline, FeatureExtractor, Standardizer
 from repro.video.arrivals import RegularArrivals
 from repro.video.events import EventInstance, EventSchedule, EventType
 from repro.video.stream import VideoStream
+from tests.helpers import calibrated_regressor
 
 # A dense periodic world: two short event instances per 200-frame horizon,
 # so span-mode relays bridge a long idle gap that segmented mode skips.
@@ -61,7 +61,7 @@ def setup():
     live_features = extractor.extract(live_stream, [ET])
     calib_records = builder.build(live_stream, live_features, [ET],
                                   max_records=200, rng=rng)
-    regressor = ConformalRegressor(model).calibrate(calib_records)
+    regressor = calibrated_regressor(model, calib_records)
     return model, pipeline, live_stream, live_features, regressor
 
 

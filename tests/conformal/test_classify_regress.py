@@ -9,6 +9,7 @@ from repro.core import EventHit, EventHitConfig, threshold_predictions, train_ev
 from repro.core.inference import PredictionBatch, extract_intervals
 from repro.data import RecordSet
 from repro.video.events import EventType
+from tests.helpers import calibrated_classifier, calibrated_regressor, engine_predict
 
 
 def synthetic_records(b=96, h=16, seed=0, m=6, d=4):
@@ -56,35 +57,41 @@ def trained():
 class TestConformalClassifier:
     def test_requires_calibration(self, trained):
         model, calib, test = trained
-        clf = ConformalClassifier(model)
+        clf = ConformalClassifier()
         with pytest.raises(RuntimeError):
-            clf.p_values(model.predict(test.covariates))
+            clf.p_values(engine_predict(model, test.covariates))
 
     def test_event_count_mismatch(self, trained):
         model, calib, test = trained
-        two_event_model = EventHit(4, 2, config=CONFIG)
-        clf = ConformalClassifier(two_event_model)
-        with pytest.raises(ValueError):
-            clf.calibrate(calib)
+        two_events = engine_predict(EventHit(4, 2, config=CONFIG), calib.covariates)
+        with pytest.raises(ValueError, match="calibration is"):
+            ConformalClassifier().calibrate(two_events, calib)
+
+    def test_record_count_mismatch(self, trained):
+        model, calib, test = trained
+        with pytest.raises(ValueError, match="calibration is"):
+            ConformalClassifier().calibrate(
+                engine_predict(model, test.covariates[:-1]), calib
+            )
 
     def test_no_positives_raises(self, trained):
         model, calib, _ = trained
         negatives = calib.subset(np.flatnonzero(calib.labels[:, 0] == 0))
         with pytest.raises(ValueError):
-            ConformalClassifier(model).calibrate(negatives)
+            calibrated_classifier(model, negatives)
 
     def test_p_values_shape_and_range(self, trained):
         model, calib, test = trained
-        clf = ConformalClassifier(model).calibrate(calib)
-        p = clf.p_values(model.predict(test.covariates))
+        clf = calibrated_classifier(model, calib)
+        p = clf.p_values(engine_predict(model, test.covariates))
         assert p.shape == (len(test), 1)
         assert np.all((p >= 0) & (p <= 1))
 
     def test_confidence_monotonicity(self, trained):
         """Eq. 10: higher c ⇒ superset of predicted-positive records."""
         model, calib, test = trained
-        clf = ConformalClassifier(model).calibrate(calib)
-        output = model.predict(test.covariates)
+        clf = calibrated_classifier(model, calib)
+        output = engine_predict(model, test.covariates)
         low = clf.predict(output, confidence=0.6)
         high = clf.predict(output, confidence=0.95)
         assert np.all(high[low])  # low-positives ⊆ high-positives
@@ -93,8 +100,8 @@ class TestConformalClassifier:
     def test_recall_guarantee_theorem42(self, trained):
         """Empirical recall of positives ≥ c (up to finite-sample slack)."""
         model, calib, test = trained
-        clf = ConformalClassifier(model).calibrate(calib)
-        output = model.predict(test.covariates)
+        clf = calibrated_classifier(model, calib)
+        output = engine_predict(model, test.covariates)
         for c in (0.7, 0.9):
             predicted = clf.predict(output, confidence=c)
             truth = test.labels > 0
@@ -103,22 +110,21 @@ class TestConformalClassifier:
 
     def test_confidence_one_predicts_all_positive(self, trained):
         model, calib, test = trained
-        clf = ConformalClassifier(model).calibrate(calib)
-        predicted = clf.predict(model.predict(test.covariates), confidence=1.0)
+        clf = calibrated_classifier(model, calib)
+        predicted = clf.predict(engine_predict(model, test.covariates), confidence=1.0)
         assert predicted.all()
 
     def test_confidence_validation(self, trained):
         model, calib, test = trained
-        clf = ConformalClassifier(model).calibrate(calib)
+        clf = calibrated_classifier(model, calib)
         with pytest.raises(ValueError):
-            clf.predict(model.predict(test.covariates), confidence=1.2)
+            clf.predict(engine_predict(model, test.covariates), confidence=1.2)
 
     def test_custom_nonconformity_measure(self, trained):
         """Theorem 4.1 holds for any measure: margin-based recall also ≥ c."""
         model, calib, test = trained
-        clf = ConformalClassifier(model, nonconformity=margin_nonconformity)
-        clf.calibrate(calib)
-        predicted = clf.predict(model.predict(test.covariates), confidence=0.9)
+        clf = calibrated_classifier(model, calib, nonconformity=margin_nonconformity)
+        predicted = clf.predict(engine_predict(model, test.covariates), confidence=0.9)
         truth = test.labels > 0
         assert predicted[truth].mean() >= 0.78
 
@@ -126,31 +132,41 @@ class TestConformalClassifier:
 class TestConformalRegressor:
     def test_requires_calibration(self, trained):
         model, _, test = trained
-        reg = ConformalRegressor(model)
+        reg = ConformalRegressor()
         with pytest.raises(RuntimeError):
             reg.quantiles(0.5)
 
     def test_tau2_validation(self, trained):
         model = trained[0]
         with pytest.raises(ValueError):
-            ConformalRegressor(model, tau2=1.5)
+            ConformalRegressor(tau2=1.5)
+
+    def test_output_shape_mismatch(self, trained):
+        model, calib, test = trained
+        two_events = engine_predict(EventHit(4, 2, config=CONFIG), calib.covariates)
+        with pytest.raises(ValueError, match="calibration is"):
+            ConformalRegressor().calibrate(two_events, calib)
+        with pytest.raises(ValueError, match="calibration is"):
+            ConformalRegressor().calibrate(
+                engine_predict(model, test.covariates), calib.subset(np.arange(3))
+            )
 
     def test_quantiles_monotone_in_alpha(self, trained):
         model, calib, _ = trained
-        reg = ConformalRegressor(model).calibrate(calib)
+        reg = calibrated_regressor(model, calib)
         q_low = reg.quantiles(0.3)
         q_high = reg.quantiles(0.95)
         assert np.all(q_high >= q_low)
 
     def test_alpha_validation(self, trained):
         model, calib, _ = trained
-        reg = ConformalRegressor(model).calibrate(calib)
+        reg = calibrated_regressor(model, calib)
         with pytest.raises(ValueError):
             reg.quantiles(0.0)
 
     def test_widen_expands_and_clamps(self, trained):
         model, calib, _ = trained
-        reg = ConformalRegressor(model).calibrate(calib)
+        reg = calibrated_regressor(model, calib)
         batch = PredictionBatch(
             exists=np.array([[True]]),
             starts=np.array([[2]]),
@@ -165,7 +181,7 @@ class TestConformalRegressor:
 
     def test_widen_ignores_absent_events(self, trained):
         model, calib, _ = trained
-        reg = ConformalRegressor(model).calibrate(calib)
+        reg = calibrated_regressor(model, calib)
         batch = PredictionBatch(
             exists=np.array([[False]]),
             starts=np.array([[0]]),
@@ -178,8 +194,8 @@ class TestConformalRegressor:
     def test_coverage_theorem52(self, trained):
         """True starts/ends fall inside ±q̂ with frequency ≥ α − slack."""
         model, calib, test = trained
-        reg = ConformalRegressor(model).calibrate(calib)
-        output = model.predict(test.covariates)
+        reg = calibrated_regressor(model, calib)
+        output = engine_predict(model, test.covariates)
         pred_starts, pred_ends = extract_intervals(output.frame_scores, 0.5)
         alpha = 0.8
         q = reg.quantiles(alpha)
@@ -195,8 +211,8 @@ class TestConformalRegressor:
 
     def test_predict_full_pass(self, trained):
         model, calib, test = trained
-        reg = ConformalRegressor(model).calibrate(calib)
-        output = model.predict(test.covariates)
+        reg = calibrated_regressor(model, calib)
+        output = engine_predict(model, test.covariates)
         exists = output.scores >= 0.5
         batch = reg.predict(output, exists, alpha=0.7)
         assert batch.exists.shape == (len(test), 1)
@@ -204,15 +220,15 @@ class TestConformalRegressor:
 
     def test_predict_exists_shape_checked(self, trained):
         model, calib, test = trained
-        reg = ConformalRegressor(model).calibrate(calib)
-        output = model.predict(test.covariates)
+        reg = calibrated_regressor(model, calib)
+        output = engine_predict(model, test.covariates)
         with pytest.raises(ValueError):
             reg.predict(output, np.ones((3, 3), dtype=bool), alpha=0.5)
 
     def test_higher_alpha_wider_intervals(self, trained):
         model, calib, test = trained
-        reg = ConformalRegressor(model).calibrate(calib)
-        output = model.predict(test.covariates)
+        reg = calibrated_regressor(model, calib)
+        output = engine_predict(model, test.covariates)
         exists = np.ones_like(output.scores, dtype=bool)
         narrow = reg.predict(output, exists, alpha=0.2)
         wide = reg.predict(output, exists, alpha=0.99)
@@ -244,10 +260,10 @@ class TestDecideRewriteOracles:
     def test_p_values_equal_conformal_p_values_per_column(self, measure):
         model = EventHit(4, 3, config=CONFIG)
         calib, test = three_event_records(seed=3), three_event_records(seed=4)
-        clf = ConformalClassifier(model, nonconformity=measure).calibrate(calib)
+        clf = calibrated_classifier(model, calib, nonconformity=measure)
         measure = clf.nonconformity
-        calib_scores = measure(model.predict(calib.covariates).scores)
-        output = model.predict(test.covariates)
+        calib_scores = measure(engine_predict(model, calib.covariates).scores)
+        output = engine_predict(model, test.covariates)
         test_scores = measure(output.scores)
         got = clf.p_values(output)
         assert got.shape == (len(test), 3)
@@ -258,16 +274,16 @@ class TestDecideRewriteOracles:
 
     def test_quantiles_memo_is_invalidated_by_calibrate(self, trained):
         model, calib, test = trained
-        reg = ConformalRegressor(model).calibrate(calib)
+        reg = calibrated_regressor(model, calib)
         before = reg.quantiles(0.9)
-        reg.calibrate(test)
-        fresh = ConformalRegressor(model).calibrate(test).quantiles(0.9)
+        reg.calibrate(engine_predict(model, test.covariates), test)
+        fresh = calibrated_regressor(model, test).quantiles(0.9)
         np.testing.assert_array_equal(reg.quantiles(0.9), fresh)
         assert not np.array_equal(before, fresh)  # the fixture can tell
 
     def test_quantiles_returns_a_copy(self, trained):
         model, calib, _ = trained
-        reg = ConformalRegressor(model).calibrate(calib)
+        reg = calibrated_regressor(model, calib)
         first = reg.quantiles(0.9)
         want = first.copy()
         first[:] = -1.0
@@ -277,9 +293,9 @@ class TestDecideRewriteOracles:
 
     def test_quantiles_equal_residual_quantile_per_alpha(self, trained):
         model, calib, _ = trained
-        reg = ConformalRegressor(model).calibrate(calib)
+        reg = calibrated_regressor(model, calib)
         starts, ends = extract_intervals(
-            model.predict(calib.covariates).frame_scores, reg.tau2
+            engine_predict(model, calib.covariates).frame_scores, reg.tau2
         )
         positive = calib.labels[:, 0] > 0
         start_res = np.abs(starts[positive, 0] - calib.starts[positive, 0])
@@ -291,8 +307,8 @@ class TestDecideRewriteOracles:
 
     def test_predict_equals_widen_of_thresholded_batch(self, trained):
         model, calib, test = trained
-        reg = ConformalRegressor(model).calibrate(calib)
-        output = model.predict(test.covariates)
+        reg = calibrated_regressor(model, calib)
+        output = engine_predict(model, test.covariates)
         exists = output.scores >= 0.5
         starts, ends = extract_intervals(output.frame_scores, reg.tau2)
         raw = PredictionBatch(

@@ -11,7 +11,7 @@ from repro.core import (
     rowstable_matmul,
 )
 from repro.core.batched import _relu, _sigmoid
-from repro.nn import MLP
+from repro.nn import MLP, no_grad
 from repro.nn.layers import Tanh
 
 CONFIG = EventHitConfig(
@@ -78,29 +78,38 @@ class TestBatchInvariance:
 
     @pytest.mark.parametrize("split", [1, 3, 5, 8])
     def test_chunking_is_safe(self, split):
-        """Any chunking of a fleet across calls yields identical rows."""
-        engine = BatchedInference(make_model("lstm"))
-        x = make_batch(16, seed=3)
-        full = engine.predict(x)
-        chunks = [engine.predict(x[i : i + split]) for i in range(0, 16, split)]
-        scores = np.concatenate([c.scores for c in chunks])
-        frame_scores = np.concatenate([c.frame_scores for c in chunks])
-        assert np.array_equal(full.scores, scores)
-        assert np.array_equal(full.frame_scores, frame_scores)
+        """Any chunking of a fleet across calls yields identical rows,
+        for every encoder and for one head as for several."""
+        for model in (
+            *(make_model(encoder) for encoder in ("lstm", "gru", "mean")),
+            EventHit(NUM_FEATURES, 1, config=CONFIG),
+        ):
+            engine = BatchedInference(model)
+            x = make_batch(16, seed=3)
+            full = engine.predict(x)
+            chunks = [engine.predict(x[i : i + split]) for i in range(0, 16, split)]
+            scores = np.concatenate([c.scores for c in chunks])
+            frame_scores = np.concatenate([c.frame_scores for c in chunks])
+            assert np.array_equal(full.scores, scores)
+            assert np.array_equal(full.frame_scores, frame_scores)
 
     @pytest.mark.parametrize("encoder", ["lstm", "gru", "mean"])
     def test_agrees_with_model_predict(self, encoder):
-        """Same math as EventHit.predict, to float round-off."""
+        """Same math as the training forward ``EventHit.forward`` in eval
+        mode, to float round-off: the training forward stays the
+        reference the engine is held to."""
         model = make_model(encoder)
         engine = BatchedInference(model)
         x = make_batch(8, seed=4)
         batched = engine.predict(x)
-        reference = model.predict(x)
+        model.eval()
+        with no_grad():
+            scores, frame_scores = model(x)
         np.testing.assert_allclose(
-            batched.scores, reference.scores, rtol=0, atol=1e-12
+            batched.scores, scores.data, rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(
-            batched.frame_scores, reference.frame_scores, rtol=0, atol=1e-12
+            batched.frame_scores, frame_scores.data, rtol=0, atol=1e-12
         )
 
     def test_output_shapes(self):

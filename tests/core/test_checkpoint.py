@@ -13,6 +13,7 @@ from repro.core import (
     save_checkpoint,
 )
 from repro.core.checkpoint import _META_KEY
+from tests.helpers import calibrated_classifier, engine_predict
 
 
 def small_config(**kw):
@@ -32,10 +33,11 @@ class TestCheckpointRoundtrip:
         restored = load_checkpoint(path)
         x = np.random.default_rng(0).normal(size=(6, 5, 4))
         np.testing.assert_allclose(
-            model.predict(x).scores, restored.predict(x).scores
+            engine_predict(model, x).scores, engine_predict(restored, x).scores
         )
         np.testing.assert_allclose(
-            model.predict(x).frame_scores, restored.predict(x).frame_scores
+            engine_predict(model, x).frame_scores,
+            engine_predict(restored, x).frame_scores,
         )
 
     def test_architecture_restored(self, tmp_path):
@@ -59,7 +61,7 @@ class TestCheckpointRoundtrip:
         assert not restored.training
         x = np.zeros((2, 5, 3))
         np.testing.assert_allclose(
-            restored.predict(x).scores, restored.predict(x).scores
+            engine_predict(restored, x).scores, engine_predict(restored, x).scores
         )
 
     def test_non_checkpoint_file_rejected(self, tmp_path):
@@ -88,8 +90,8 @@ class TestCheckpointRoundtrip:
         save_checkpoint(model, path)
         restored = load_checkpoint(path)
         np.testing.assert_allclose(
-            model.predict(records.covariates).scores,
-            restored.predict(records.covariates).scores,
+            engine_predict(model, records.covariates).scores,
+            engine_predict(restored, records.covariates).scores,
         )
 
     def test_checkpoint_usable_with_conformal(self, tmp_path):
@@ -108,10 +110,10 @@ class TestCheckpointRoundtrip:
         path = tmp_path / "m.npz"
         save_checkpoint(model, path)
         restored = load_checkpoint(path)
-        a = ConformalClassifier(model).calibrate(calib)
-        b = ConformalClassifier(restored).calibrate(calib)
-        output_a = model.predict(calib.covariates)
-        output_b = restored.predict(calib.covariates)
+        a = calibrated_classifier(model, calib)
+        b = calibrated_classifier(restored, calib)
+        output_a = engine_predict(model, calib.covariates)
+        output_b = engine_predict(restored, calib.covariates)
         np.testing.assert_allclose(a.p_values(output_a), b.p_values(output_b))
 
 
@@ -283,7 +285,7 @@ class TestCrashSafety:
         restored = load_checkpoint(path)
         x = np.random.default_rng(0).normal(size=(2, 5, 4))
         np.testing.assert_allclose(
-            old.predict(x).scores, restored.predict(x).scores
+            engine_predict(old, x).scores, engine_predict(restored, x).scores
         )
 
     def test_crash_at_rename_preserves_previous_checkpoint(
@@ -306,7 +308,7 @@ class TestCrashSafety:
         restored = load_checkpoint(path)
         x = np.random.default_rng(0).normal(size=(2, 5, 4))
         np.testing.assert_allclose(
-            old.predict(x).scores, restored.predict(x).scores
+            engine_predict(old, x).scores, engine_predict(restored, x).scores
         )
 
     def test_successful_resave_replaces_atomically(self, tmp_path):
@@ -317,5 +319,5 @@ class TestCrashSafety:
         restored = load_checkpoint(path)
         x = np.random.default_rng(0).normal(size=(2, 5, 4))
         np.testing.assert_allclose(
-            new.predict(x).scores, restored.predict(x).scores
+            engine_predict(new, x).scores, engine_predict(restored, x).scores
         )

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.cloud import StreamMarshaller
-from repro.conformal import ConformalClassifier, ConformalRegressor
 from repro.core import BatchedInference, EventHit, EventHitConfig, EventHitOutput
 from repro.core.inference import (
     PredictionBatch,
@@ -24,6 +23,7 @@ from repro.core.inference import (
 from repro.data import RecordSet
 from repro.features import CovariatePipeline
 from repro.video.events import EventType
+from tests.helpers import calibrated
 
 HORIZON = 40
 EVENTS = 3
@@ -81,11 +81,7 @@ def random_records(seed, n=60):
 def layers():
     model = EventHit(FEATURES, EVENTS, config=CONFIG)
     calibration = random_records(0)
-    return (
-        model,
-        ConformalClassifier(model).calibrate(calibration),
-        ConformalRegressor(model).calibrate(calibration),
-    )
+    return (model, *calibrated(model, calibration))
 
 
 def merge_runs(runs):

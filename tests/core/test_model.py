@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import EventHit, EventHitConfig, EventHitOutput
+from tests.helpers import engine_predict
 
 
 def small_config(**kwargs):
@@ -52,12 +53,6 @@ class TestEventHitOutput:
         assert out.batch_size == 4
         assert out.num_events == 2
         assert out.horizon == 7
-
-    def test_subset(self):
-        out = EventHitOutput(np.arange(8.0).reshape(4, 2), np.zeros((4, 2, 3)))
-        sub = out.subset([1, 3])
-        assert sub.batch_size == 2
-        np.testing.assert_array_equal(sub.scores, [[2, 3], [6, 7]])
 
 
 class TestForward:
@@ -134,32 +129,18 @@ class TestForward:
 
 
 class TestPredict:
-    def test_predict_matches_forward_eval(self):
-        model = EventHit(4, 2, config=small_config())
-        x = np.random.default_rng(0).normal(size=(5, 6, 4))
-        model.eval()
-        scores, frames = model(x)
-        out = model.predict(x)
-        np.testing.assert_allclose(out.scores, scores.data)
-        np.testing.assert_allclose(out.frame_scores, frames.data)
-
-    def test_predict_batched_consistent(self):
-        model = EventHit(4, 1, config=small_config())
-        x = np.random.default_rng(0).normal(size=(10, 6, 4))
-        full = model.predict(x, batch_size=100)
-        chunked = model.predict(x, batch_size=3)
-        np.testing.assert_allclose(full.scores, chunked.scores)
+    """Inference goes through the serving engine, in eval semantics."""
 
     def test_predict_restores_training_mode(self):
         model = EventHit(4, 1, config=small_config())
         model.train()
-        model.predict(np.zeros((2, 6, 4)))
+        engine_predict(model, np.zeros((2, 6, 4)))
         assert model.training
 
     def test_predict_with_dropout_deterministic(self):
-        """Dropout must be disabled during predict()."""
+        """Dropout must be disabled during inference."""
         model = EventHit(4, 1, config=small_config(dropout=0.5))
         x = np.random.default_rng(0).normal(size=(3, 6, 4))
-        a = model.predict(x).scores
-        b = model.predict(x).scores
+        a = engine_predict(model, x).scores
+        b = engine_predict(model, x).scores
         np.testing.assert_array_equal(a, b)

@@ -10,6 +10,7 @@ from repro import obs
 from repro.core import EventHit, EventHitConfig, Trainer, threshold_predictions, train_eventhit
 from repro.data import build_experiment_data
 from repro.video import make_thumos
+from tests.helpers import engine_predict
 
 
 def synthetic_records(b=64, k=1, m=6, d=4, h=16, seed=0):
@@ -180,7 +181,7 @@ class TestLearnability:
         train = synthetic_records(b=128, seed=0)
         test = synthetic_records(b=64, seed=1)
         model, _ = train_eventhit(train, config=small_config(epochs=40))
-        out = model.predict(test.covariates)
+        out = engine_predict(model, test.covariates)
         pred = out.scores[:, 0] >= 0.5
         truth = test.labels[:, 0] > 0
         accuracy = (pred == truth).mean()
@@ -190,7 +191,7 @@ class TestLearnability:
         train = synthetic_records(b=192, seed=0)
         test = synthetic_records(b=64, seed=1)
         model, _ = train_eventhit(train, config=small_config(epochs=60))
-        out = model.predict(test.covariates)
+        out = engine_predict(model, test.covariates)
         batch = threshold_predictions(out, tau1=0.5, tau2=0.5)
         truth_mask = test.labels[:, 0] > 0
         predicted_starts = batch.starts[truth_mask & batch.exists[:, 0], 0]
@@ -217,7 +218,7 @@ class TestLearnability:
         )
         model, history = train_eventhit(data.train, config=config)
         assert history.train_losses[-1] < history.train_losses[0]
-        out = model.predict(data.test.covariates)
+        out = engine_predict(model, data.test.covariates)
         pred = out.scores[:, 0] >= 0.5
         truth = data.test.labels[:, 0] > 0
         # Must beat the majority-class baseline by a margin.

@@ -11,6 +11,7 @@ from repro.features import (
     Standardizer,
     StreamingCovariateBuffer,
 )
+from tests.helpers import engine_predict
 
 
 class TestBufferBasics:
@@ -99,6 +100,6 @@ class TestBatchEquivalence:
         values = rng.normal(size=(20, 3))
         buffer = StreamingCovariateBuffer(5, 3)
         buffer.push_many(values[:5])
-        online = model.predict(buffer.window()[None])
-        offline = model.predict(values[0:5][None])
+        online = engine_predict(model, buffer.window()[None])
+        offline = engine_predict(model, values[0:5][None])
         np.testing.assert_allclose(online.scores, offline.scores)

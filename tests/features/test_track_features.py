@@ -7,6 +7,7 @@ from repro.features import TrackFeatureExtractor
 from repro.video import simulate_tracks
 from repro.video.events import EventInstance, EventSchedule, EventType
 from repro.video.stream import VideoStream
+from tests.helpers import engine_predict
 
 ET = EventType("gate", duration_mean=40, duration_std=4, lead_time=100,
                predictability=0.9)
@@ -112,7 +113,7 @@ class TestTrackFeaturesLearnable:
             batch_size=32, seed=0,
         )
         model, _ = train_eventhit(train, config=config)
-        summary = evaluate(threshold_predictions(model.predict(test.covariates)),
-                           test)
+        output = engine_predict(model, test.covariates)
+        summary = evaluate(threshold_predictions(output), test)
         assert summary.rec_c > 0.6
         assert summary.spl < 0.3

@@ -9,12 +9,12 @@ components in place.
 
 import pytest
 
-from repro.conformal import ConformalClassifier, ConformalRegressor
 from repro.cloud import StreamMarshaller
 from repro.core import EventHitConfig, train_eventhit
 from repro.data import build_experiment_data
 from repro.features import CovariatePipeline
 from repro.video import make_thumos
+from tests.helpers import calibrated
 
 CONFIG = EventHitConfig(
     window_size=10,
@@ -65,9 +65,8 @@ def make_marshaller(setup):
     def build(**kwargs):
         kwargs.setdefault("tau1", 0.5)
         kwargs.setdefault("tau2", 0.5)
-        classifier = ConformalClassifier(model).calibrate(data.calibration)
-        regressor = ConformalRegressor(model, tau2=kwargs["tau2"]).calibrate(
-            data.calibration
+        classifier, regressor = calibrated(
+            model, data.calibration, tau2=kwargs["tau2"]
         )
         return StreamMarshaller(
             model,

@@ -120,11 +120,13 @@ class TestSwap:
         assert report.horizons_evaluated == baseline.horizons_evaluated
         assert report.frames_covered == baseline.frames_covered
         assert report.frames_lost == 0
-        # The marshaller now serves the published artifact: conformal
-        # components were rebound to the same object.
-        assert marshaller.classifier.model is marshaller.model
-        assert marshaller.regressor.model is marshaller.model
+        # The marshaller now serves the published artifact, and its one
+        # owner is the engine the swap installed; the conformal layers
+        # hold no model to go stale.
+        assert marshaller.model is marshaller.inference.model
         assert marshaller.model is not baseline_model(setup)
+        assert not hasattr(marshaller.classifier, "model")
+        assert not hasattr(marshaller.regressor, "model")
 
     def test_swap_is_deterministic(self, setup, make_marshaller, tmp_path):
         first_m = make_marshaller()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cloud import CloudInferenceService, StreamMarshaller
-from repro.conformal import ConformalClassifier, ConformalRegressor
+from repro.conformal import ConformalClassifier
 from repro.core import EventHitConfig, train_eventhit
 from repro.data import build_experiment_data
 from repro.drift import MissRateCusum
@@ -16,6 +16,7 @@ from repro.video import make_thumos
 from repro.video.datasets import EVENT_TYPES, place_instances
 from repro.video.events import EventSchedule, EventType
 from repro.video.stream import VideoStream
+from tests.helpers import calibrated, calibrated_classifier, calibrated_regressor
 
 CONFIG = EventHitConfig(
     window_size=10, horizon=200, lstm_hidden=16, shared_hidden=(16,),
@@ -38,10 +39,10 @@ def setup():
 def deploy(setup, audit_rate, seed=0, **kwargs):
     """A freshly calibrated marshaller under a registry-less controller."""
     spec, data, model, pipeline = setup
+    classifier, regressor = calibrated(model, data.calibration)
     marshaller = StreamMarshaller(
         model, data.event_types, pipeline,
-        classifier=ConformalClassifier(model).calibrate(data.calibration),
-        regressor=ConformalRegressor(model).calibrate(data.calibration),
+        classifier=classifier, regressor=regressor,
         confidence=0.95, alpha=0.9,
     )
     controller = LifecycleController(
@@ -94,10 +95,10 @@ class TestAuditBuffer:
 class TestValidation:
     def test_requires_calibrated_components(self, setup):
         spec, data, model, pipeline = setup
-        classifier = ConformalClassifier(model).calibrate(data.calibration)
+        classifier = calibrated_classifier(model, data.calibration)
         with pytest.raises(ValueError, match="must be calibrated"):
             StreamMarshaller(model, data.event_types, pipeline,
-                             classifier=ConformalClassifier(model))
+                             classifier=ConformalClassifier())
         half = StreamMarshaller(model, data.event_types, pipeline,
                                 classifier=classifier)
         with pytest.raises(ValueError, match="calibrated conformal"):
@@ -133,7 +134,6 @@ class TestRegistryless:
         # Same network, same conformal objects, recalibrated on the buffer.
         assert marshaller.model is model
         assert marshaller.classifier is classifier
-        assert classifier.model is model
 
     def test_recalibration_invalidates_the_quantile_memo(self, setup):
         spec, data, model, pipeline = setup
@@ -147,15 +147,15 @@ class TestRegistryless:
         calibrated_on = []
         calibrate = regressor.calibrate
 
-        def spy(records):
+        def spy(output, records):
             calibrated_on.append(records)
-            return calibrate(records)
+            return calibrate(output, records)
 
         regressor.calibrate = spy
         run(marshaller, controller, data.test_stream, data.test_features,
             max_horizons=12)
         assert controller.recalibrations >= 1 and calibrated_on
-        fresh = ConformalRegressor(model).calibrate(calibrated_on[-1])
+        fresh = calibrated_regressor(model, calibrated_on[-1])
         np.testing.assert_array_equal(
             regressor.quantiles(alpha), fresh.quantiles(alpha)
         )

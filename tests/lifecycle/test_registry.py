@@ -20,6 +20,7 @@ from repro.lifecycle import (
     VERSION_STATUSES,
 )
 from repro.lifecycle.registry import _entries_checksum
+from tests.helpers import engine_predict
 
 
 def small_config(**kw):
@@ -78,7 +79,7 @@ class TestPublishLoad:
         restored = registry.load(entry.version)
         x = np.random.default_rng(0).normal(size=(3, 5, 4))
         np.testing.assert_allclose(
-            model.predict(x).scores, restored.predict(x).scores
+            engine_predict(model, x).scores, engine_predict(restored, x).scores
         )
 
     def test_load_default_serves_latest_good(self, tmp_path):
@@ -90,7 +91,7 @@ class TestPublishLoad:
         restored = registry.load()
         x = np.zeros((1, 5, 4))
         np.testing.assert_allclose(
-            tiny_model(2).predict(x).scores, restored.predict(x).scores
+            engine_predict(tiny_model(2), x).scores, engine_predict(restored, x).scores
         )
 
     def test_load_unknown_version_raises(self, tmp_path):
@@ -155,7 +156,7 @@ class TestCorruption:
         assert registry.get(broken.version).status == "corrupt"
         x = np.zeros((1, 5, 4))
         np.testing.assert_allclose(
-            tiny_model(1).predict(x).scores, model.predict(x).scores
+            engine_predict(tiny_model(1), x).scores, engine_predict(model, x).scores
         )
 
     def test_load_last_good_raises_when_all_corrupt(self, tmp_path):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.cloud import CloudInferenceService, StreamMarshaller
-from repro.conformal import ConformalClassifier, ConformalRegressor
 from repro.core import (
     EventHit,
     EventHitConfig,
@@ -22,6 +21,7 @@ from repro.features import CovariatePipeline, extract_features
 from repro.metrics import evaluate, recall, spillage
 from repro.video.events import EventInstance, EventSchedule, EventType
 from repro.video.stream import VideoStream
+from tests.helpers import calibrated_classifier, calibrated_regressor, engine_predict
 
 ET = EventType("e", duration_mean=10, duration_std=1, lead_time=50)
 
@@ -63,9 +63,9 @@ class TestDegenerateStreams:
     def test_calibration_on_eventless_records_fails_loudly(self):
         model = EventHit(3, 1, config=SMALL)
         with pytest.raises(ValueError, match="no positive"):
-            ConformalClassifier(model).calibrate(empty_records())
+            calibrated_classifier(model, empty_records())
         with pytest.raises(ValueError, match="no positive"):
-            ConformalRegressor(model).calibrate(empty_records())
+            calibrated_regressor(model, empty_records())
 
     def test_single_event_stream_survives_everything(self):
         stream = VideoStream(
@@ -151,8 +151,8 @@ class TestConformalTies:
             labels=records.labels, starts=records.starts, ends=records.ends,
             censored=records.censored,
         )
-        clf = ConformalClassifier(model).calibrate(records)
-        output = model.predict(records.covariates)
+        clf = calibrated_classifier(model, records)
+        output = engine_predict(model, records.covariates)
         assert clf.predict(output, confidence=1.0).all()
 
 
@@ -205,7 +205,7 @@ class TestPredictionEdges:
 
     def test_model_handles_single_record_batch(self):
         model = EventHit(3, 1, config=SMALL)
-        out = model.predict(np.zeros((1, 4, 3)))
+        out = engine_predict(model, np.zeros((1, 4, 3)))
         assert out.batch_size == 1
         batch = threshold_predictions(out)
         assert batch.exists.shape == (1, 1)
@@ -228,7 +228,7 @@ class TestNumericalStability:
         )
         model, history = train_eventhit(records, config=SMALL)
         assert all(np.isfinite(loss) for loss in history.train_losses)
-        out = model.predict(covariates)
+        out = engine_predict(model, covariates)
         assert np.all(np.isfinite(out.scores))
 
     def test_bce_saturated_outputs_finite(self):
