@@ -79,10 +79,10 @@ def test_hotswap_latency(benchmark, swap_setup, save_result):
     assert report.frames_lost == 0
     assert len(controller.buffer) > 0
 
-    # Arm 2: the swap pause.  A published copy of the incumbent, in an
-    # engine of the serving kind, stands in for a canary-approved
-    # candidate; each round re-stages it so maybe_swap runs its full path
-    # (install the engine + recalibrate on one forward + rebase).
+    # Arm 2: the swap pause.  A published copy of the incumbent, in a
+    # rebound serving engine, stands in for a canary-approved candidate;
+    # each round re-stages it so maybe_swap runs its full path (install
+    # the engine + recalibrate on one forward + rebase the detectors).
     entry = registry.publish(marshaller.model, note="benchmark candidate")
     candidate = marshaller.inference.rebind(registry.load(entry.version))
 

@@ -43,7 +43,6 @@ from functools import partial
 from typing import List, Optional, Sequence
 
 from . import obs
-from .core import ENGINES
 from .cloud import BreakerConfig, FaultPlan, RetryPolicy
 from .fleet import (
     FAIL_FAST,
@@ -91,17 +90,6 @@ def _add_experiment_args(parser: argparse.ArgumentParser, default_task: str) -> 
                         help="max records per split")
     parser.add_argument("--seed", type=int, default=0)
     _add_obs_args(parser)
-
-
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        default="windowed",
-        choices=list(ENGINES),
-        help="inference engine: 'windowed' re-runs the full window every "
-        "tick, 'continual' carries LSTM/GRU state across ticks (O(1) per "
-        "new frame)",
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -262,7 +250,6 @@ def _build_fleet_run(
         alpha=args.alpha,
         scheduler=args.scheduler,
         tick_budget_frames=args.budget_frames,
-        engine=args.engine,
     )
     supervisor = shard_plan = None
     if args.shards > 1:
@@ -297,12 +284,6 @@ def _build_fleet_run(
         failure_policy=args.failure_policy if fault_rate > 0 else "raise",
     )
     return run, supervisor, shard_plan
-
-
-def _flush_out(out) -> None:
-    flush = getattr(out, "flush", None)
-    if flush is not None:
-        flush()
 
 
 def _print_flight_dumps(recorder, out) -> None:
@@ -359,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="EventHit reproduction: regenerate the paper's tables "
         "and figures or evaluate individual algorithms.",
     )
+    # Commands without the observability flags read them as unset.
+    parser.set_defaults(log_level=None, trace_out=None, metrics_out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("tasks", help="print Table II (tasks TA1-TA16)")
@@ -585,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="horizons marshalled per stream")
     fleet.add_argument("--confidence", type=float, default=0.9)
     fleet.add_argument("--alpha", type=float, default=0.9)
-    _add_engine_args(fleet)
 
     watch = sub.add_parser(
         "watch",
@@ -607,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="horizons marshalled per stream")
     watch.add_argument("--confidence", type=float, default=0.9)
     watch.add_argument("--alpha", type=float, default=0.9)
-    _add_engine_args(watch)
     watch.add_argument(
         "--fault-rate",
         type=float,
@@ -970,7 +951,7 @@ def _run_watch(args: argparse.Namespace, out) -> None:
             out.write(frame + "\n\n")
         else:
             out.write("\x1b[2J\x1b[H" + frame + "\n")
-        _flush_out(out)
+        out.flush()
 
     report = run(on_tick=redraw)
 
@@ -1044,7 +1025,7 @@ def _run_watch_sharded(
 
     def progress(shard: int, tick: int) -> None:
         print(f"[shard {shard}] tick {tick}", file=out)
-        _flush_out(out)
+        out.flush()
 
     def liveness(shard: int, state: str, detail: str) -> None:
         print(
@@ -1052,7 +1033,7 @@ def _run_watch_sharded(
             + (f" ({detail})" if detail else ""),
             file=out,
         )
-        _flush_out(out)
+        out.flush()
 
     report = run(on_heartbeat=progress, on_liveness=liveness)
 
@@ -1178,15 +1159,12 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    owns_output = (
-        getattr(args, "trace_out", None) is not None
-        or getattr(args, "metrics_out", None) is not None
-    )
+    owns_output = args.trace_out is not None or args.metrics_out is not None
     try:
         obs.configure(
-            log_level=getattr(args, "log_level", None),
-            trace_out=getattr(args, "trace_out", None),
-            metrics_out=getattr(args, "metrics_out", None),
+            log_level=args.log_level,
+            trace_out=args.trace_out,
+            metrics_out=args.metrics_out,
         )
         if args.command == "tasks":
             print(format_table(table2_rows()), file=out)

@@ -240,12 +240,12 @@ class StreamMarshaller:
     segment_min_gap:
         Runs closer than this many offsets are merged (filters score dips
         inside one occurrence).
-    inference:
-        Optional :class:`~repro.core.batched.BatchedInference` engine to
-        run the per-horizon forward pass through, bound to ``model`` (the
-        default is a fresh engine over it); :attr:`model` reads it back.
-        The engine is batch-size invariant, which is what makes an N-lane
-        fleet run bitwise equivalent to N single-stream runs.
+
+    The per-horizon forward pass runs through :attr:`inference`, a
+    :class:`~repro.core.batched.BatchedInference` engine bound to
+    ``model``; :attr:`model` reads it back, and a hot swap replaces the
+    engine.  The engine is batch-size invariant, which is what makes an
+    N-lane fleet run bitwise equivalent to N single-stream runs.
     """
 
     def __init__(
@@ -261,7 +261,6 @@ class StreamMarshaller:
         tau2: float = 0.5,
         segmented: bool = False,
         segment_min_gap: int = 5,
-        inference: Optional[BatchedInference] = None,
     ):
         if len(event_types) != model.num_events:
             raise ValueError(
@@ -276,8 +275,6 @@ class StreamMarshaller:
             raise ValueError("confidence must be in [0, 1]")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if inference is not None and inference.model is not model:
-            raise ValueError("inference engine is bound to another model")
         self.event_types = list(event_types)
         self.pipeline = pipeline
         self.classifier = classifier
@@ -290,7 +287,7 @@ class StreamMarshaller:
         self.tau2 = tau2
         self.segmented = segmented
         self.segment_min_gap = segment_min_gap
-        self.inference = inference if inference is not None else BatchedInference(model)
+        self.inference = BatchedInference(model)
         self.horizon = model.config.horizon
 
     @property

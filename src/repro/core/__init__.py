@@ -9,7 +9,6 @@
 
 from .batched import BatchedInference, rowstable_matmul
 from .config import EventHitConfig
-from .continual import ENGINES, ContinualInference, make_engine
 from .model import EventHit, EventHitOutput
 from .inference import (
     PredictionBatch,
@@ -25,9 +24,6 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 __all__ = [
     "BatchedInference",
     "rowstable_matmul",
-    "ContinualInference",
-    "ENGINES",
-    "make_engine",
     "EventHitConfig",
     "EventHit",
     "EventHitOutput",

@@ -2,9 +2,12 @@
 
 Serving many streams means running the EventHit forward pass over a
 stacked ``(num_streams, window, features)`` tensor in *one* numpy call per
-horizon instead of one call per stream — the batched/stateful-inference
-idea NoScope and Continual Inference apply to per-frame models, applied
-here to the marshalling predictor.
+horizon instead of one call per stream — the batched-inference idea
+NoScope applies to per-frame models, applied here to the marshalling
+predictor.  It is the only inference engine: the paper decides once per
+horizon, and at every task's defaults the horizon is longer than the
+collection window, so consecutive windows of a stream never overlap and
+there is no state worth carrying from one decision to the next.
 
 Correctness guarantee
 ---------------------
@@ -201,13 +204,11 @@ class BatchedInference:
         self._cache: Optional[_Weights] = None
 
     def rebind(self, model: EventHit) -> "BatchedInference":
-        """A fresh engine of this engine's kind bound to ``model``.
+        """A fresh engine bound to ``model``.
 
-        The hot-swap hook: the lifecycle controller rebinds whatever
-        engine class the deployment selected (windowed or continual)
-        without knowing which.  A stateful engine starts with no carried
-        state (the post-swap warm-up is the state rebase).  The new
-        engine prepares ``model``'s weights on its first forward.
+        The hot-swap hook: the lifecycle controller swaps the served
+        model by rebinding the marshaller's engine.  The new engine
+        prepares ``model``'s weights on its first forward.
         """
         return type(self)(model)
 
@@ -219,8 +220,7 @@ class BatchedInference:
 
         Must be called after the bound model's parameters change in place
         (the hot-swap path goes through :meth:`rebind`, which starts from
-        an empty cache).  Carried lane state is *not* touched — callers
-        that retrain in place must also :meth:`reset`.
+        an empty cache).
         """
         self._cache = None
 
@@ -249,29 +249,6 @@ class BatchedInference:
         return self._cache
 
     # ------------------------------------------------------------------
-    # Serving protocol: the marshalling loop calls only these two
-    # ------------------------------------------------------------------
-    def update(
-        self,
-        windows: np.ndarray,
-        keys: Sequence[str],
-        end_frames: Sequence[int],
-    ) -> EventHitOutput:
-        """Score one tick's stacked windows for the lanes ``keys``.
-
-        This engine carries no state between ticks, so it is
-        :meth:`predict`; stateful engines override it to advance each
-        lane to its window's end frame (``end_frames``).
-        """
-        return self.predict(windows)
-
-    def reset(self, keys: Optional[Sequence[str]] = None) -> None:
-        """Drop carried state for ``keys`` (all lanes when ``None``).
-
-        A no-op here; stateful engines override it.
-        """
-
-    # ------------------------------------------------------------------
     # Layer evaluators (eval-mode, raw numpy)
     # ------------------------------------------------------------------
     def _eval_layer(self, layer, x: np.ndarray) -> np.ndarray:
@@ -297,18 +274,14 @@ class BatchedInference:
             x = self._eval_layer(layer, x)
         return x
 
-    def _eval_lstm(self, x: np.ndarray, return_state: bool = False):
+    def _eval_lstm(self, x: np.ndarray) -> np.ndarray:
         # The fused sequence kernel on the cached prepared weights, with
         # the row-stable contraction injected.  Every non-matmul op in the
         # kernel is elementwise per row, so batch-size invariance is
         # preserved while the recurrence reuses the fused path's hoisted
         # input projection and preallocated gate buffers.
         return lstm_forward_numpy(
-            x,
-            *self._weights().encoder,
-            matmul=rowstable_matmul,
-            return_state=return_state,
-            prepared=True,
+            x, *self._weights().encoder, matmul=rowstable_matmul, prepared=True
         )
 
     def _eval_gru(self, x: np.ndarray) -> np.ndarray:
@@ -358,10 +331,8 @@ class BatchedInference:
         """Shared sub-network + heads over encoded states: Θ logits ``(B, K, H+1)``.
 
         Every op here is row-independent (row-stable matmuls, elementwise
-        activations), so this stage is batch-size invariant on its own —
-        the continual engine reuses it over per-step hidden states, and
-        the windowed path reuses it over whole-window encodings, with
-        bitwise-equal rows whenever the encodings are bitwise equal.
+        activations), so this stage is batch-size invariant on its own:
+        rows are bitwise equal whenever the encodings are bitwise equal.
 
         The heads run as one stack (:func:`_stack_heads`): ``z ⊕ X_n`` is
         cut into zero-padded ``(TILE_ROWS, I)`` tiles once, and each layer

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..cloud.faults import CIError
 from ..cloud.marshaller import FAILURE_POLICIES, MarshallingReport, StreamMarshaller
@@ -300,9 +300,7 @@ class FleetMarshaller:
         m = self.marshaller
         frames = [state.frame for state in active]
         windows = m.pipeline.windows_at([state.features for state in active], frames)
-        output = m.inference.update(
-            windows, [state.name for state in active], frames
-        )
+        output = m.inference.predict(windows)
         observe("fleet.batch_size", len(active))
         # One batch-native decision pass for every lane: row i of the
         # batched output (and its runs) is bitwise the lane's solo
@@ -382,9 +380,6 @@ class FleetMarshaller:
     ) -> None:
         """Apply one shed/readmit transition at a tick boundary.
 
-        Shedding resets the lane's carried engine state: the lane's
-        frames keep advancing while it is degraded, so any recurrent
-        state would be stale by the time the lane predicts again.
         Transitions are counted on the report (deterministic) and in the
         ``fleet.shed.*`` counters, and queued for a flight-recorder
         auto-dump once this tick's telemetry row has landed.
@@ -394,7 +389,6 @@ class FleetMarshaller:
             report.shed_transitions += 1
             inc("fleet.shed.degraded")
             inc("fleet.shed.degraded." + state.name)
-            self.marshaller.inference.reset([state.name])
             kind = "shed"
         else:
             report.readmit_transitions += 1
@@ -523,13 +517,11 @@ class FleetMarshaller:
 
     def _guard_bookkeeping(
         self, guarded: GuardedStream, frame: int, report: MarshallingReport
-    ) -> Tuple[int, bool]:
-        """Per-horizon guard accounting; returns ``(health, voided)`` at
+    ) -> int:
+        """Per-horizon guard accounting; returns the lane's health at
         ``frame`` (the decision point — the end of the collection
-        window).  ``health`` is what the caller routes on; ``voided``
-        flags horizons whose conformal guarantee no longer holds, which
-        stateful engines use as a state-drop trigger (their carried
-        recurrence may have consumed imputed or invalid frames)."""
+        window), which the caller routes on.  Horizons whose conformal
+        guarantee no longer holds are counted as voided frames."""
         m = self.marshaller
         horizon = m.horizon
         health = guarded.state_at(frame)
@@ -553,7 +545,7 @@ class FleetMarshaller:
             report.quarantined_frames += horizon
             inc("stream.health.quarantined_horizons")
         set_gauge("stream.health.state", health)
-        return health, voided
+        return health
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -737,11 +729,10 @@ class FleetMarshaller:
         pressured lanes to the ``"relay-all"`` degraded tier: a shed lane
         skips the stacked forward pass and relays its whole horizon
         through the shared pool, so frames are never dropped, only served
-        at baseline quality.  Transitions reset the lane's carried engine
-        state, bump ``fleet.shed.*`` counters and the report's
-        transition counts, and trigger flight-recorder dumps.  A mapping
-        that never leaves ``"serve"`` yields reports byte-identical to a
-        run without one.
+        at baseline quality.  Transitions bump ``fleet.shed.*`` counters
+        and the report's transition counts, and trigger flight-recorder
+        dumps.  A mapping that never leaves ``"serve"`` yields reports
+        byte-identical to a run without one.
 
         ``probe``, when given, is called as ``probe(tick, states, report,
         service)`` after ``on_tick`` with the *live* per-lane run states —
@@ -762,7 +753,6 @@ class FleetMarshaller:
         stack = ServiceStack.resolve(service)
         states = self._make_states(list(lanes), stack.account, start_frame, guard)
         by_name = {state.name: state for state in states}
-        m.inference.reset()  # a fresh run never inherits carried state
         fps = states[0].stream.fps
 
         report = FleetReport(scheduler=self.scheduler.name)
@@ -832,14 +822,9 @@ class FleetMarshaller:
                         # batched forward and fall back conservatively.
                         predicting = []
                         for state in serving:
-                            health, voided = self._guard_bookkeeping(
+                            health = self._guard_bookkeeping(
                                 state.guarded, state.frame, state.report
                             )
-                            if voided:
-                                # Stateful engines drop this lane's
-                                # carried state: it may span imputed or
-                                # invalid frames.
-                                m.inference.reset([state.name])
                             if health == QUARANTINED:
                                 if (
                                     telemetry

@@ -11,6 +11,7 @@ retries, breaker transitions, and report counters.
 
 from __future__ import annotations
 
+import copy
 import tempfile
 from typing import Dict, List, Optional, Sequence
 
@@ -23,9 +24,6 @@ from ..cloud import (
     RetryPolicy,
     StreamMarshaller,
 )
-from ..conformal.classify import ConformalClassifier
-from ..conformal.regress import ConformalRegressor
-from ..core.continual import make_engine
 from ..features import CovariatePipeline
 from ..ingest import IngestFaultInjector, IngestFaultPlan, StreamGuard
 from ..lifecycle import (
@@ -80,15 +78,8 @@ def chaos_marshaller(
     experiment: Experiment,
     confidence: float = 0.9,
     alpha: float = 0.9,
-    engine: str = "windowed",
 ) -> StreamMarshaller:
-    """The deployment-shaped marshaller (EHCR configuration) for one task.
-
-    ``engine`` selects the inference engine by registry name
-    (:data:`~repro.core.continual.ENGINES`): ``"windowed"`` is the
-    stateless batched default, ``"continual"`` carries recurrent state
-    across ticks.
-    """
+    """The deployment-shaped marshaller (EHCR configuration) for one task."""
     pipeline = CovariatePipeline(
         experiment.data.spec.window_size,
         standardizer=experiment.data.standardizer,
@@ -101,7 +92,6 @@ def chaos_marshaller(
         regressor=experiment.regressor,
         confidence=confidence,
         alpha=alpha,
-        inference=make_engine(engine, experiment.model),
     )
 
 
@@ -314,15 +304,14 @@ def lifecycle_marshaller(
     Lifecycle swaps recalibrate the marshaller's classifier and regressor
     in place; sharing the experiment's cached components (as
     :func:`chaos_marshaller` does, correctly, for read-only runs) would
-    leak one chaos cell's swaps into the next.
+    leak one chaos cell's swaps into the next.  The experiment's layers
+    were calibrated on the serving engine's forward over the calibration
+    split, so copies of them are what a fresh calibration would give,
+    without scoring the split again.
     """
     marshaller = chaos_marshaller(experiment, confidence=confidence, alpha=alpha)
-    calibration = experiment.data.calibration
-    output = marshaller.inference.predict(calibration.covariates)
-    marshaller.classifier = ConformalClassifier().calibrate(output, calibration)
-    marshaller.regressor = ConformalRegressor(
-        tau2=experiment.regressor.tau2
-    ).calibrate(output, calibration)
+    marshaller.classifier = copy.deepcopy(experiment.classifier)
+    marshaller.regressor = copy.deepcopy(experiment.regressor)
     return marshaller
 
 

@@ -105,21 +105,10 @@ def fleet_marshaller(
     alpha: float = 0.9,
     scheduler: str = "round-robin",
     tick_budget_frames: Optional[int] = None,
-    engine: str = "windowed",
 ) -> FleetMarshaller:
-    """The deployment-shaped fleet engine (EHCR configuration).
-
-    ``engine`` selects the inference engine
-    (:data:`~repro.core.continual.ENGINES`), exactly as in
-    :func:`~repro.harness.chaos.chaos_marshaller`.
-    """
+    """The deployment-shaped fleet engine (EHCR configuration)."""
     return FleetMarshaller(
-        chaos_marshaller(
-            experiment,
-            confidence=confidence,
-            alpha=alpha,
-            engine=engine,
-        ),
+        chaos_marshaller(experiment, confidence=confidence, alpha=alpha),
         scheduler=scheduler,
         tick_budget_frames=tick_budget_frames,
     )
@@ -237,7 +226,6 @@ def sharded_fleet_marshaller(
     alpha: float = 0.9,
     scheduler: str = "round-robin",
     tick_budget_frames: Optional[int] = None,
-    engine: str = "windowed",
     partition: str = "contiguous",
     fault_rate: float = 0.0,
     seed: int = 0,
@@ -264,7 +252,6 @@ def sharded_fleet_marshaller(
         alpha=alpha,
         scheduler=scheduler,
         tick_budget_frames=tick_budget_frames,
-        engine=engine,
     )
     if fault_rate > 0:
         factory = ChaosServiceFactory(fault_rate=fault_rate, seed=seed)

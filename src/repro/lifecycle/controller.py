@@ -455,7 +455,7 @@ class LifecycleController:
                 self._postmortem("lifecycle-publish-failure", tick, exc)
                 self._rearm_detectors()
                 return
-        # Of the serving kind: the canary prepares it, a swap installs it.
+        # The canary prepares it, a swap installs it.
         engine = self.marshaller.inference.rebind(candidate)
         verdict = self._canary(engine, canary_records)
         self.canary_verdicts.append(verdict)
@@ -545,8 +545,6 @@ class LifecycleController:
         self._pending = None
         m = self.marshaller
         with span("lifecycle.swap", version=entry.version, tick=tick):
-            # The canary's engine carries no lane state: the post-swap
-            # warm-up is the state rebase.
             m.inference = engine
             self._recalibrate()
             for report in reports:

@@ -23,10 +23,8 @@ from .fused import (
     fused_enabled,
     fused_weighted_bce_sum,
     gru_forward_numpy,
-    gru_step_numpy,
     lstm_forward_numpy,
     lstm_fused,
-    lstm_step_numpy,
     prepare_lstm_weights,
     use_fused,
 )
@@ -60,10 +58,8 @@ __all__ = [
     "use_fused",
     "lstm_fused",
     "lstm_forward_numpy",
-    "lstm_step_numpy",
     "prepare_lstm_weights",
     "gru_forward_numpy",
-    "gru_step_numpy",
     "fused_weighted_bce_sum",
     "fused_binary_cross_entropy",
     "Module",

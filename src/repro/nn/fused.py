@@ -47,10 +47,8 @@ __all__ = [
     "use_fused",
     "lstm_fused",
     "lstm_forward_numpy",
-    "lstm_step_numpy",
     "prepare_lstm_weights",
     "gru_forward_numpy",
-    "gru_step_numpy",
     "fused_weighted_bce_sum",
     "fused_binary_cross_entropy",
 ]
@@ -305,9 +303,7 @@ def lstm_forward_numpy(
     ``σ(x) = 1 / (1 + exp(−x))`` recurrence on unscaled weights gives.
 
     ``return_state`` returns the full ``(h_T, c_T)`` state instead of just
-    ``h_T`` — the warm-up path of the continual engine, which must resume
-    the recurrence from exactly where a windowed forward would have left
-    it (:func:`lstm_step_numpy` continues bitwise from this state).
+    ``h_T``.
 
     ``prepared=True`` says the three weights already come from
     :func:`prepare_lstm_weights` (the serving engines cache them per
@@ -347,35 +343,6 @@ def lstm_forward_numpy(
     if return_state:
         return h, cell.c
     return h
-
-
-def lstm_step_numpy(
-    frame: np.ndarray,
-    h: np.ndarray,
-    c: np.ndarray,
-    wx_p: np.ndarray,
-    wh_p: np.ndarray,
-    b_p: np.ndarray,
-    matmul=None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One stateful LSTM step on *prepared* weights; updates ``h, c`` in place.
-
-    ``wx_p`` / ``wh_p`` / ``b_p`` come from :func:`prepare_lstm_weights`
-    (the permuted, sign-folded copies; the continual engine caches them
-    once per model bind).  The op sequence mirrors the
-    sequence forward's inner loop exactly, so stepping frames one at a
-    time is **bitwise identical** to running the whole window through
-    :func:`lstm_forward_numpy` from the same initial state (with the same
-    ``matmul``); ``tests/core/test_continual.py`` pins this.
-    """
-    mm = np.matmul if matmul is None else matmul
-    xw = mm(frame, wx_p)
-    xw += b_p
-    cell = _GateMajorCell(c)
-    np.add(mm(h, wh_p), xw, out=cell.proj)
-    cell.update(h)
-    c[...] = cell.c
-    return h, c
 
 
 def gru_forward_numpy(
@@ -425,40 +392,6 @@ def gru_forward_numpy(
         np.tanh(candidate, out=candidate)
         h = (1.0 - z) * candidate + z * h
     return h
-
-
-def gru_step_numpy(
-    frame: np.ndarray,
-    h: np.ndarray,
-    weight_x_gates: np.ndarray,
-    weight_h_gates: np.ndarray,
-    bias_gates: np.ndarray,
-    weight_x_cand: np.ndarray,
-    weight_h_cand: np.ndarray,
-    bias_cand: np.ndarray,
-    matmul=None,
-) -> np.ndarray:
-    """One stateful GRU step; returns the new hidden state ``(B, H)``.
-
-    Same op sequence as :func:`gru_forward_numpy`'s inner loop, so
-    stepping frame by frame from a saved state is bitwise identical to the
-    whole-window forward (the GRU's full recurrent state is ``h`` alone).
-    """
-    mm = np.matmul if matmul is None else matmul
-    xg = mm(frame, weight_x_gates)
-    xg += bias_gates
-    xc = mm(frame, weight_x_cand)
-    xc += bias_cand
-    gates = mm(h, weight_h_gates)
-    gates += xg
-    _sigmoid_inplace(gates)
-    hidden = h.shape[1]
-    r = gates[:, :hidden]
-    z = gates[:, hidden:]
-    candidate = mm(r * h, weight_h_cand)
-    candidate += xc
-    np.tanh(candidate, out=candidate)
-    return (1.0 - z) * candidate + z * h
 
 
 # ----------------------------------------------------------------------

@@ -78,28 +78,6 @@ class GRUCell(Module):
     def initial_state(self, batch_size: int) -> Tensor:
         return Tensor(np.zeros((batch_size, self.hidden_size)))
 
-    def step_numpy(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Graph-free single step (plain formulas, no autograd).
-
-        Stateful reference for the continual engine's cached-weight fast
-        step; mirrors :meth:`forward` on raw arrays.
-        """
-        gates = (
-            x @ self.weight_x_gates.data
-            + h @ self.weight_h_gates.data
-            + self.bias_gates.data
-        )
-        gates = 1.0 / (1.0 + np.exp(-gates))
-        hs = self.hidden_size
-        r = gates[:, :hs]
-        z = gates[:, hs : 2 * hs]
-        candidate = np.tanh(
-            x @ self.weight_x_cand.data
-            + (r * h) @ self.weight_h_cand.data
-            + self.bias_cand.data
-        )
-        return (1.0 - z) * candidate + z * h
-
 
 class GRU(Module):
     """Run a :class:`GRUCell` over a (batch, time, feature) sequence."""

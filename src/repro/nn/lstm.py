@@ -95,27 +95,6 @@ class LSTMCell(Module):
         zeros = np.zeros((batch_size, self.hidden_size))
         return Tensor(zeros), Tensor(zeros.copy())
 
-    def step_numpy(
-        self, x: np.ndarray, h: np.ndarray, c: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Graph-free single step in the canonical ``[i, f, g, o]`` layout.
-
-        The stateful reference for the continual engine: the engine steps
-        on permuted/pre-doubled weight caches for speed, and the
-        equivalence tests check it against this plain-formula step (which
-        mirrors :meth:`forward` without touching the autograd graph).
-        Inputs are ``(batch, input_size)`` / ``(batch, hidden_size)``
-        arrays; returns the new ``(h, c)``.
-        """
-        gates = x @ self.weight_x.data + h @ self.weight_h.data + self.bias.data
-        hs = self.hidden_size
-        i = 1.0 / (1.0 + np.exp(-gates[:, 0 * hs : 1 * hs]))
-        f = 1.0 / (1.0 + np.exp(-gates[:, 1 * hs : 2 * hs]))
-        g = np.tanh(gates[:, 2 * hs : 3 * hs])
-        o = 1.0 / (1.0 + np.exp(-gates[:, 3 * hs : 4 * hs]))
-        c_new = f * c + i * g
-        return o * np.tanh(c_new), c_new
-
 
 class LSTM(Module):
     """Run an :class:`LSTMCell` over a (batch, time, feature) sequence."""

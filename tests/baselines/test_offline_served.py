@@ -5,8 +5,8 @@ over a cached forward pass; the fleet serves
 :meth:`StreamMarshaller.decide <repro.cloud.StreamMarshaller.decide>`.
 Both score through a serving engine and both call
 :func:`~repro.core.inference.decide_intervals`.  The first pins run the
-two entry points on one trained model's test windows, through each engine
-:func:`~repro.core.make_engine` builds; the second holds the shared rule
+two entry points on one trained model's test windows, through the
+serving engine; the second holds the shared rule
 to a full-array reference: ``extract_intervals`` over every pair masked
 by existence, and ``ConformalRegressor.widen`` over those raw intervals.
 """
@@ -16,13 +16,7 @@ import pytest
 
 from repro.baselines import EHC, EHCR, EHO, EHR, EventHitRule, OutputCache
 from repro.cloud import StreamMarshaller
-from repro.core import (
-    ENGINES,
-    EventHitConfig,
-    EventHitOutput,
-    make_engine,
-    train_eventhit,
-)
+from repro.core import EventHitConfig, EventHitOutput, train_eventhit
 from repro.core.inference import PredictionBatch, decide_intervals, extract_intervals
 from repro.data import RecordSet
 from repro.features import CovariatePipeline
@@ -123,16 +117,14 @@ class TestOfflineEqualsServed:
                 if exists[b, k]
             ]
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_ehcr_equals_decide_on_the_served_forward(self, trained, engine):
+    def test_ehcr_equals_decide_on_the_served_forward(self, trained):
         """Same forward: the rule's cached output is bitwise the serving
         engine's on D_test windows, so offline EHCR is bitwise the served
-        decision for either engine kind."""
+        decision."""
         model, classifier, regressor, test = trained
         served = StreamMarshaller(
             model, EVENT_TYPES, CovariatePipeline(WINDOW),
             classifier=classifier, regressor=regressor,
-            inference=make_engine(engine, model),
         )
         output = served.inference.predict(test.covariates)
         cached = OutputCache(model).output_for(test)

@@ -119,12 +119,8 @@ class TestMarshaller:
     def test_engine_is_the_one_owner_of_the_model(self, setup):
         spec, data, model, pipeline = setup
         other = EventHit(model.num_features, model.num_events, config=CONFIG)
-        with pytest.raises(ValueError, match="another model"):
-            StreamMarshaller(
-                model, data.event_types, pipeline,
-                inference=BatchedInference(other),
-            )
         marshaller = StreamMarshaller(model, data.event_types, pipeline)
+        assert type(marshaller.inference) is BatchedInference
         assert marshaller.model is marshaller.inference.model is model
         with pytest.raises(AttributeError):
             marshaller.model = other

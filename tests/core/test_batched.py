@@ -1,15 +1,12 @@
 """The batched engine's batch-size-invariance contract (bitwise)."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 
-from repro.core import (
-    BatchedInference,
-    EventHit,
-    EventHitConfig,
-    make_engine,
-    rowstable_matmul,
-)
+import repro.core
+from repro.core import BatchedInference, EventHit, EventHitConfig, rowstable_matmul
 from repro.core.batched import _relu, _sigmoid
 from repro.nn import MLP, no_grad
 from repro.nn.layers import Tanh
@@ -200,16 +197,13 @@ class TestPreparedWeights:
     """Weights are prepared once per bind; refresh_weights re-reads them."""
 
     @pytest.mark.parametrize("encoder", ["lstm", "gru"])
-    @pytest.mark.parametrize("kind", ["windowed", "continual"])
-    def test_refresh_after_in_place_change_equals_fresh_engine(self, kind, encoder):
+    def test_refresh_after_in_place_change_equals_fresh_engine(self, encoder):
         model = make_model(encoder)
-        engine = make_engine(kind, model)
+        engine = BatchedInference(model)
         x = make_batch(5)
-        keys, ends = [f"s{i}" for i in range(5)], [CONFIG.window_size - 1] * 5
 
         def serve(e):
-            e.reset()
-            out = e.update(x, keys, ends)
+            out = e.predict(x)
             return out.scores, out.frame_scores
 
         serve(engine)  # builds the cache
@@ -220,7 +214,7 @@ class TestPreparedWeights:
         for param in cached:
             param.data *= 1.25
         stale = serve(engine)
-        fresh = serve(make_engine(kind, model))
+        fresh = serve(BatchedInference(model))
         assert not np.array_equal(stale[0], fresh[0])
         engine.refresh_weights()
         refreshed = serve(engine)
@@ -233,7 +227,17 @@ class TestPreparedWeights:
         other = EventHit(NUM_FEATURES, NUM_EVENTS,
                          config=EventHitConfig(**{**CONFIG.__dict__, "seed": 8}))
         rebound = engine.rebind(other)
+        assert type(rebound) is BatchedInference and rebound.model is other
         assert np.array_equal(
             rebound.predict(x).scores, BatchedInference(other).predict(x).scores
         )
         assert not np.array_equal(rebound.predict(x).scores, engine.predict(x).scores)
+
+
+def test_batched_is_the_only_engine():
+    for name in ("ContinualInference", "make_engine", "ENGINES"):
+        assert not hasattr(repro.core, name)
+        assert name not in repro.core.__all__
+    assert importlib.util.find_spec("repro.core.continual") is None
+    assert not hasattr(BatchedInference, "update")
+    assert not hasattr(BatchedInference, "reset")

@@ -1,7 +1,7 @@
 """Guard tests for the ``rowstable_matmul`` stability contract.
 
 Every bitwise-equivalence claim in the repo (fleet == sequential,
-sharded == single-process, continual == windowed, chunked == stacked)
+sharded == single-process, chunked == stacked)
 bottoms out in one primitive: :func:`repro.core.rowstable_matmul`'s
 per-row accumulation order must not depend on how many rows — or how
 many leading batch dims — ride along.  This file is the tripwire for a
@@ -115,10 +115,10 @@ class TestRowstableGuard:
     def test_3d_slices_bitwise_equal_2d_calls(
         self, batch, time, contract, cols, seed
     ):
-        # The continual engine's warmup hoists a (B, T, D) projection in
-        # one 3-D contraction and the step kernel projects (B, D) frames
-        # one at a time; they agree bitwise only because the leading
-        # batch shape never changes the per-element reduction.
+        # The recurrent forwards hoist a (B, T, D) projection in one 3-D
+        # contraction; a frame's projection is the same bits as a 2-D call
+        # only because the leading batch shape never changes the
+        # per-element reduction.
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(batch, time, contract))
         w = rng.normal(size=(contract, cols))
@@ -324,8 +324,8 @@ class TestTiles:
     @pytest.mark.parametrize("contract,cols", [(16, 64), (6, 64)])
     def test_time_major_projection_matches_per_step_calls(self, contract, cols):
         # The LSTM forward projects a time-major (T, B, D) copy in one
-        # call and the continual step kernel projects one (B, D) frame at
-        # a time; both must give the same bits per (t, b).
+        # call; per (t, b) that must give the bits of a one-frame (B, D)
+        # call, so a frame's projection never depends on the window.
         rng = np.random.default_rng(cols)
         x = rng.normal(size=(5, 25, contract))  # (B, T, D)
         w = rng.normal(size=(contract, cols))

@@ -19,7 +19,7 @@ from repro.cloud import (
     StreamMarshaller,
 )
 from repro.cloud.pricing import TieredPricing
-from repro.core import EventHit, EventHitConfig, train_eventhit
+from repro.core import BatchedInference, EventHit, EventHitConfig, train_eventhit
 from repro.features import CovariatePipeline, FeatureExtractor, Standardizer
 from repro.fleet import FleetCIService, FleetLane, FleetMarshaller, FleetScheduler
 from repro.obs import configure, get_registry
@@ -117,10 +117,20 @@ class TestEquivalence:
         # account charges no more than the sum of private accounts.
         assert fleet_report.shared_cost <= fleet_report.attributed_cost + 1e-9
 
-    def test_fleet_rollup_merges_lanes(self, setup):
+    def test_fleet_rollup_merges_lanes(self, setup, monkeypatch):
         spec, data, marshaller, lanes = setup
+        rows = []
+        predict = BatchedInference.predict
+
+        def counted(engine, windows):
+            rows.append(len(windows))
+            return predict(engine, windows)
+
+        monkeypatch.setattr(BatchedInference, "predict", counted)
         fleet = FleetMarshaller(marshaller)
         report = fleet.run(lanes, fresh_service(lanes), max_horizons=3)
+        # One stacked forward per tick over every lane.
+        assert rows == [len(lanes)] * 3
         rollup = report.fleet
         assert rollup.horizons_evaluated == 3 * len(lanes)
         assert rollup.frames_relayed == sum(

@@ -3,8 +3,11 @@ and the hot swap each score through a serving engine, once per model.
 
 The counts are of :meth:`BatchedInference.predict` calls (with their row
 counts) and of ``EventHit.forward`` calls, the training forward, which
-none of these sites may run.
+none of these sites may run.  The lifecycle marshaller runs none at all:
+it copies the experiment's calibrated layers.
 """
+
+import pickle
 
 import pytest
 
@@ -61,8 +64,23 @@ def test_run_experiment_calibrates_on_one_forward(monkeypatch, forwards):
     experiment = run_experiment("TA10", settings=settings)
     assert forwards == {"engine": [len(experiment.data.calibration)], "model": 0}
     reset(forwards)
-    lifecycle_marshaller(experiment)
-    assert forwards == {"engine": [len(experiment.data.calibration)], "model": 0}
+    marshaller = lifecycle_marshaller(experiment)
+    assert forwards == {"engine": [], "model": 0}
+
+    # The lifecycle marshaller's layers are private copies of the
+    # experiment's: the same bytes in other objects, so recalibrating them
+    # in place (what a swap does) leaves the experiment's layers alone.
+    shared = (experiment.classifier, experiment.regressor)
+    private = (marshaller.classifier, marshaller.regressor)
+    before = [pickle.dumps(layer) for layer in shared]
+    assert [pickle.dumps(layer) for layer in private] == before
+    assert all(mine is not theirs for mine, theirs in zip(private, shared))
+    test = experiment.data.test
+    output = marshaller.inference.predict(test.covariates)
+    for layer in private:
+        layer.calibrate(output, test)
+    assert all(pickle.dumps(layer) != was for layer, was in zip(private, before))
+    assert [pickle.dumps(layer) for layer in shared] == before
 
 
 def filled_controller(setup, marshaller, registry):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import rowstable_matmul
-from repro.nn import lstm_forward_numpy, lstm_step_numpy, prepare_lstm_weights
+from repro.nn import lstm_forward_numpy, prepare_lstm_weights
 
 MATMULS = {"blas": None, "rowstable": rowstable_matmul}
 
@@ -107,44 +107,6 @@ def test_forward_bitwise_equals_row_major_recurrence(
     assert np.array_equal(
         lstm_forward_numpy(x, wx, wh, b, h0, c0, matmul=matmul), want_h
     )
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    batch=st.integers(1, 70),
-    hidden=st.sampled_from([1, 3, 16]),
-    warm=st.integers(1, 24),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_warmup_then_steps_equals_window_forward(batch, hidden, warm, seed):
-    # The continual engine's contract at the kernel level: a warm-up
-    # forward over the first frames, then one prepared-weight step per
-    # remaining frame, lands on the whole-window state bit for bit.
-    rng = np.random.default_rng(seed)
-    x, wx, wh, b = random_lstm(rng, batch, 25, hidden, 5, 1.0)
-    want_h, want_c = lstm_forward_numpy(
-        x, wx, wh, b, matmul=rowstable_matmul, return_state=True
-    )
-    h, c = lstm_forward_numpy(
-        x[:, :warm], wx, wh, b, matmul=rowstable_matmul, return_state=True
-    )
-    prepared = prepare_lstm_weights(wx, wh, b)
-    for t in range(warm, 25):
-        h, c = lstm_step_numpy(
-            np.ascontiguousarray(x[:, t]), h, c, *prepared, matmul=rowstable_matmul
-        )
-    assert np.array_equal(h, want_h)
-    assert np.array_equal(c, want_c)
-
-
-def test_step_updates_state_in_place():
-    rng = np.random.default_rng(3)
-    x, wx, wh, b = random_lstm(rng, 5, 1, 3, 4, 1.0)
-    h, c = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    want_h, want_c = row_major_lstm_forward(x, wx, wh, b, h, c)
-    got_h, got_c = lstm_step_numpy(x[:, 0], h, c, *prepare_lstm_weights(wx, wh, b))
-    assert got_h is h and got_c is c
-    assert np.array_equal(h, want_h) and np.array_equal(c, want_c)
 
 
 @pytest.mark.parametrize("hidden", [1, 3, 16])
