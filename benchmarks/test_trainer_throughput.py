@@ -3,7 +3,7 @@
 Times a full ``train_eventhit`` run twice on an identical synthetic
 workload: once through the fused whole-sequence LSTM/BPTT autograd op
 (the default) and once through the op-by-op reference graph
-(``REPRO_NN_FUSED=0`` semantics via :class:`repro.nn.use_fused`).  Like
+(``use_fused(False)``, :class:`repro.nn.use_fused`).  Like
 the fleet gate, what is pinned is the *speedup ratio* — machine
 independent — not absolute wall-clock: ``benchmarks/check_regression.py``
 reads ``extra_info["speedup"]`` out of the ``--benchmark-json`` report and

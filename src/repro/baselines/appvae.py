@@ -24,7 +24,7 @@ which also drives its feature-extraction cost in the timing benchmarks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import stats

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Protocol, Tuple, runtime_checkable
 
-import numpy as np
-
 from ..core.batched import BatchedInference
 from ..core.inference import PredictionBatch
 from ..core.model import EventHit, EventHitOutput

@@ -155,10 +155,6 @@ class TrainedVQSPredictor:
     def is_fitted(self) -> bool:
         return self._filters is not None
 
-    @property
-    def is_bound(self) -> bool:
-        return self._prefix is not None
-
     # ------------------------------------------------------------------
     def fit(
         self,

@@ -8,7 +8,7 @@ the cost case study can be run against more realistic billing curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 __all__ = ["PricingModel", "FlatPricing", "TieredPricing", "REKOGNITION"]
 

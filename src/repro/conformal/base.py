@@ -13,7 +13,7 @@ calibration set with the test point:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -14,8 +14,6 @@ from .inference import (
     PredictionBatch,
     extract_interval_segments,
     extract_intervals,
-    predict_existence,
-    segments_to_mask,
     threshold_predictions,
 )
 from .trainer import Trainer, TrainingHistory, train_eventhit
@@ -28,10 +26,8 @@ __all__ = [
     "EventHit",
     "EventHitOutput",
     "PredictionBatch",
-    "predict_existence",
     "extract_intervals",
     "extract_interval_segments",
-    "segments_to_mask",
     "threshold_predictions",
     "Trainer",
     "TrainingHistory",

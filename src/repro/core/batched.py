@@ -49,8 +49,6 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..nn import (
-    GRU,
-    LSTM,
     MLP,
     Dropout,
     Linear,

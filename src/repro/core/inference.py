@@ -35,14 +35,12 @@ if TYPE_CHECKING:  # conformal imports core: type the layers only
 
 __all__ = [
     "PredictionBatch",
-    "predict_existence",
     "extract_intervals",
     "kept_pair_intervals",
     "decide_existence",
     "decide_intervals",
     "threshold_predictions",
     "extract_interval_segments",
-    "segments_to_mask",
 ]
 
 
@@ -155,13 +153,6 @@ def _check_offsets(starts: np.ndarray, ends: np.ndarray, horizon: int) -> None:
         raise ValueError("predicted offsets must lie in [1, H]")
     if np.any(starts > ends):
         raise ValueError("start offsets must be <= end offsets")
-
-
-def predict_existence(scores: np.ndarray, tau1: float = 0.5) -> np.ndarray:
-    """Eq. 4: b_k ≥ τ1 ⇒ event predicted to occur in the horizon."""
-    if not 0.0 <= tau1 <= 1.0:
-        raise ValueError("tau1 must be in [0, 1]")
-    return np.asarray(scores) >= tau1
 
 
 def extract_intervals(
@@ -308,32 +299,3 @@ def extract_interval_segments(
         out.append(per_event)
     return out
 
-
-def segments_to_mask(
-    segments: list, horizon: int, exists: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """(B, K, H) boolean relay mask from :func:`extract_interval_segments`.
-
-    ``exists`` (B, K) zeroes the rows of events predicted absent.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    batch = len(segments)
-    events = len(segments[0]) if batch else 0
-    mask = np.zeros((batch, events, horizon), dtype=bool)
-    for b in range(batch):
-        if len(segments[b]) != events:
-            raise ValueError("ragged segment structure")
-        for k in range(events):
-            for start, end in segments[b][k]:
-                if not 1 <= start <= end <= horizon:
-                    raise ValueError(
-                        f"segment ({start}, {end}) outside [1, {horizon}]"
-                    )
-                mask[b, k, start - 1 : end] = True
-    if exists is not None:
-        exists = np.asarray(exists, dtype=bool)
-        if exists.shape != (batch, events):
-            raise ValueError("exists must be (B, K)")
-        mask &= exists[:, :, None]
-    return mask

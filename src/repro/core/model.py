@@ -14,7 +14,7 @@ Architecture, verbatim from the paper:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

@@ -16,7 +16,7 @@ occupancy grid consumed by loss L2 and by interval extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -26,8 +26,8 @@ Two complementary detectors:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from dataclasses import dataclass
+from typing import Deque
 
 import numpy as np
 from scipy import stats

@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .. import nn
 from ..nn import Adam, MLP, Module, Tensor, no_grad
 from .extractors import FeatureMatrix
 
@@ -73,10 +72,6 @@ class AutoencoderHistory:
     """Reconstruction-loss trace of autoencoder training."""
 
     losses: List[float] = field(default_factory=list)
-
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
 
 
 class AutoencoderReducer:

@@ -19,7 +19,7 @@ positives/negatives a real detector exhibits.  Each detector carries an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 

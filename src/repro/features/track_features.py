@@ -20,7 +20,7 @@ features behave like detector outputs, not oracle annotations.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

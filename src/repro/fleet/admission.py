@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Deque, List, MutableMapping, Optional, Tuple
 
 from ..obs import Gauge, Histogram, get_registry, inc, log_info
-from .marshaller import FleetMarshaller  # noqa: F401  (doc cross-reference)
 
 __all__ = [
     "LANE_STATES",

@@ -183,6 +183,21 @@ class FleetReport:
         pricing up to float association; ≥ under tiered pricing)."""
         return sum(r.total_cost for r in self.per_stream.values())
 
+    def fold_counters(self, other: "FleetReport") -> None:
+        """Add ``other``'s relay, billing and admission counters into this
+        report, keeping the larger batch.
+
+        ``ticks`` and ``per_stream`` stay with the caller: sequential
+        admission waves add ticks, concurrent shards take the max.
+        """
+        self.max_batch_size = max(self.max_batch_size, other.max_batch_size)
+        self.relays_flushed += other.relays_flushed
+        self.relays_postponed += other.relays_postponed
+        self.shared_cost += other.shared_cost
+        self.shared_frames += other.shared_frames
+        self.shed_transitions += other.shed_transitions
+        self.readmit_transitions += other.readmit_transitions
+
     def to_dict(self, include_detections: bool = False) -> Dict[str, object]:
         return {
             "num_streams": self.num_streams,

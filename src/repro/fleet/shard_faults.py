@@ -138,11 +138,6 @@ class ShardFaultPlan(FaultPlanBase):
                 return fault
         return None
 
-    @property
-    def max_attempt(self) -> int:
-        """Highest attempt index any fault targets (0 when empty)."""
-        return max((fault.attempt for fault in self.faults), default=0)
-
     @classmethod
     def seeded(
         cls,

@@ -334,22 +334,6 @@ class _CheckpointSender:
         )
         self.conn.send(("ckpt", self.shard_index, checkpoint))
 
-def _fold_wave(total: FleetReport, wave: FleetReport) -> None:
-    """Accumulate one admission wave's report into the shard total.
-
-    Waves run *sequentially* inside a worker, so ticks add (unlike the
-    coordinator's cross-shard merge, where concurrent shards take the
-    max).
-    """
-    total.per_stream.update(wave.per_stream)
-    total.ticks += wave.ticks
-    total.max_batch_size = max(total.max_batch_size, wave.max_batch_size)
-    total.relays_flushed += wave.relays_flushed
-    total.relays_postponed += wave.relays_postponed
-    total.shared_cost += wave.shared_cost
-    total.shared_frames += wave.shared_frames
-    total.shed_transitions += wave.shed_transitions
-    total.readmit_transitions += wave.readmit_transitions
 
 def _execute_shard(
     shard_index: int, payload: Dict, on_tick=None, probe=None
@@ -403,7 +387,10 @@ def _execute_shard(
                 lane_modes=lane_modes,
                 **run_kwargs,
             )
-            _fold_wave(report, wave)
+            # Waves run one after another inside the worker: ticks add.
+            report.per_stream.update(wave.per_stream)
+            report.ticks += wave.ticks
+            report.fold_counters(wave)
             controller.retire(serving)
             for name in serving:
                 lane_modes.pop(name, None)
@@ -911,16 +898,9 @@ class ShardedFleetMarshaller:
             res = results[index]
             report.shard_ticks.append(res.report.ticks)
             report.shard_busy_seconds.append(res.busy_seconds)
+            # Shards run concurrently: the run lasts the longest shard.
             report.ticks = max(report.ticks, res.report.ticks)
-            report.max_batch_size = max(
-                report.max_batch_size, res.report.max_batch_size
-            )
-            report.relays_flushed += res.report.relays_flushed
-            report.relays_postponed += res.report.relays_postponed
-            report.shared_cost += res.report.shared_cost
-            report.shared_frames += res.report.shared_frames
-            report.shed_transitions += res.report.shed_transitions
-            report.readmit_transitions += res.report.readmit_transitions
+            report.fold_counters(res.report)
             report.ledger.merge(res.ledger)
             report.admission_events.extend(
                 (index, transition) for transition in res.admission_events

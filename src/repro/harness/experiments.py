@@ -14,10 +14,8 @@ regenerates in seconds; ``scale=1.0`` reproduces the paper-sized workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..baselines import (
     BruteForce,

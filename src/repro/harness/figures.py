@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..metrics import (
     TimingModel,
     brute_force_expense,
@@ -19,10 +17,10 @@ from ..metrics import (
     optimal_expense,
 )
 from ..metrics.accuracy import evaluate
-from ..video.datasets import TABLE1_ROWS, table1_stats
-from .experiments import CurvePoint, Experiment, ExperimentSettings, run_experiment
-from .sweeps import DEFAULT_ALPHAS, DEFAULT_CONFIDENCES, min_spl_at_rec, pareto_frontier
-from .tasks import TASKS, get_task
+from ..video.datasets import table1_stats
+from .experiments import Experiment, ExperimentSettings, run_experiment
+from .sweeps import DEFAULT_ALPHAS, DEFAULT_CONFIDENCES
+from .tasks import TASKS
 
 __all__ = [
     "table1_rows",

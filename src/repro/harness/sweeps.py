@@ -3,16 +3,16 @@ sensitivity (Figs. 5–7) plus the β/γ grid search mentioned in §III."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core import EventHitConfig, Trainer, train_eventhit
 from ..data import RecordSet
 from ..video.datasets import DatasetSpec
-from .experiments import CurvePoint, Experiment, ExperimentSettings, run_experiment
-from .tasks import Task, get_task
+from .experiments import CurvePoint, ExperimentSettings, run_experiment
+from .tasks import get_task
 
 __all__ = [
     "min_spl_at_rec",

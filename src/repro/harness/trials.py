@@ -10,13 +10,13 @@ curves actually plot.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..metrics import EvaluationSummary
-from .experiments import Experiment, ExperimentSettings, run_experiment
-from .tasks import Task, get_task
+from .experiments import ExperimentSettings, run_experiment
+from .tasks import get_task
 
 __all__ = ["TrialResult", "AggregateResult", "run_trials", "aggregate_rows"]
 

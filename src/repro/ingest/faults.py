@@ -163,9 +163,6 @@ class IngestFaultInjector:
         self._rng = np.random.default_rng(self.plan.seed)
 
     # ------------------------------------------------------------------
-    def _stalled(self, frame: int) -> bool:
-        return any(start <= frame < end for start, end in self.plan.stalls)
-
     def inject(self, features: FeatureMatrix) -> FeatureMatrix:
         """The corrupted copy of ``features`` this plan produces.
 

@@ -8,8 +8,6 @@ BF relays every frame of every record's horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core.inference import PredictionBatch

@@ -9,7 +9,7 @@ interval only, ignoring prediction width).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

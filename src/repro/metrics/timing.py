@@ -17,10 +17,8 @@ predictor negligible — the paper reports ≈95.9% / 4.0% / 0.1% on TA10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
-
-import numpy as np
 
 __all__ = ["TimingModel", "StageBreakdown", "PipelineTiming"]
 

@@ -10,7 +10,7 @@ without an external DL framework:
 * :mod:`repro.nn.lstm` — ``LSTMCell`` / ``LSTM`` encoder.
 * :mod:`repro.nn.fused` — the fused fast path: whole-sequence LSTM/BPTT
   autograd op, graph-free ``no_grad`` forwards, fused BCE/L1/L2 loss
-  kernels (default on; ``REPRO_NN_FUSED=0`` restores the op-by-op graph).
+  kernels (default on; ``use_fused(False)`` restores the op-by-op graph).
 * :mod:`repro.nn.optim` — ``SGD`` / ``Adam`` and gradient clipping.
 * :mod:`repro.nn.losses` — the paper's L1 (existence) and L2 (interval)
   cross-entropy losses.

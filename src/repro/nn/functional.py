@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .fused import fused_binary_cross_entropy, fused_enabled
-from .tensor import Tensor, _ensure_tensor, concat, is_grad_enabled, stack, where
+from .tensor import Tensor, _ensure_tensor, concat, stack, where
 
 __all__ = [
     "sigmoid",

@@ -25,8 +25,8 @@ same idea to the autograd graph itself:
   single backward closure, replacing the ~10-node ``log_safe``/mul/sum
   chains in :mod:`repro.nn.losses` and :mod:`repro.nn.functional`.
 
-The fused path is the default.  ``REPRO_NN_FUSED=0`` (or the
-:class:`use_fused` context manager) restores the op-by-op reference graph;
+The fused path is the default.  The :class:`use_fused` context manager
+restores the op-by-op reference graph;
 ``tests/nn/test_fused.py`` pins that both paths agree to ≤1e-10 on outputs
 and gradients across shapes and seeds, that the fused op passes
 finite-difference gradcheck, and that a full ``train_eventhit`` run follows
@@ -35,7 +35,6 @@ the same loss trajectory either way.
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -55,37 +54,34 @@ __all__ = [
 
 _EPS = 1e-12  # matches functional.log_safe's clip floor
 
-#: Session override for the REPRO_NN_FUSED switch (None = read the env).
-_OVERRIDE: Optional[bool] = None
+#: Whether the fused path is on; only :class:`use_fused` changes it.
+_ENABLED = True
 
 
 def fused_enabled() -> bool:
     """Whether the fused fast path is active.
 
-    Defaults to on; set ``REPRO_NN_FUSED=0`` to restore the op-by-op
-    reference graph (the escape hatch used by the equivalence tests and
-    available for debugging suspect gradients in the field).
+    Always on outside a ``use_fused(False)`` block, which restores the
+    op-by-op reference graph for the equivalence tests.
     """
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    return os.environ.get("REPRO_NN_FUSED", "1") != "0"
+    return _ENABLED
 
 
 class use_fused:
-    """Context manager pinning the fused switch regardless of the env."""
+    """Context manager pinning the fused switch for its block."""
 
     def __init__(self, enabled: bool):
         self._enabled = bool(enabled)
 
     def __enter__(self) -> "use_fused":
-        global _OVERRIDE
-        self._prev = _OVERRIDE
-        _OVERRIDE = self._enabled
+        global _ENABLED
+        self._prev = _ENABLED
+        _ENABLED = self._enabled
         return self
 
     def __exit__(self, *exc) -> None:
-        global _OVERRIDE
-        _OVERRIDE = self._prev
+        global _ENABLED
+        _ENABLED = self._prev
 
 
 # ----------------------------------------------------------------------

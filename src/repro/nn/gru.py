@@ -7,7 +7,7 @@ quality on short windows, so it is offered as an encoder ablation
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import init
 from .fused import fused_enabled, lstm_fused
 from .layers import Module, Parameter
-from .tensor import Tensor, concat
+from .tensor import Tensor
 
 __all__ = ["LSTMCell", "LSTM"]
 
@@ -136,7 +136,7 @@ class LSTM(Module):
         -----
         The default execution path is :func:`repro.nn.fused.lstm_fused` —
         one autograd node for the whole sequence with a hand-derived BPTT
-        backward.  ``REPRO_NN_FUSED=0`` (or ``return_sequence=True``, which
+        backward.  ``use_fused(False)`` (or ``return_sequence=True``, which
         needs per-step graph outputs) falls back to the op-by-op reference
         loop below, which is kept as the ground truth for the fused-vs-
         reference equivalence tests.

@@ -65,19 +65,6 @@ class FlightRecorder:
                 self._lanes[lane] = ring
             ring.append(entry)
 
-    def record_many(self, tick: int, entries) -> None:
-        """Append one record per ``(lane, fields)`` pair under a single
-        lock acquisition — the fleet writes one record per lane per tick,
-        and 17 separate lock round-trips add up in the tick path."""
-        tick = int(tick)
-        with self._lock:
-            for lane, fields in entries:
-                ring = self._lanes.get(lane)
-                if ring is None:
-                    ring = deque(maxlen=self.capacity)
-                    self._lanes[lane] = ring
-                ring.append({"tick": tick, **fields})
-
     def record_rows(self, tick: int, keys, rows) -> None:
         """Append one record per ``(lane, values)`` pair, all sharing the
         field schema ``keys`` (a tuple, parallel to each values tuple).

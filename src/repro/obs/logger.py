@@ -67,9 +67,6 @@ class StructuredLogger:
     def set_sink(self, sink: Optional[TextIO]) -> None:
         self._sink = sink
 
-    def is_enabled_for(self, level: Union[int, str]) -> bool:
-        return _level_value(level) >= self._threshold
-
     # ------------------------------------------------------------------
     def log(
         self, level: Union[int, str], event: str, _force: bool = False, **fields

@@ -19,7 +19,7 @@ covariate-adjusted sibling of :class:`NelsonAalen`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import stats

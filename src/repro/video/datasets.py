@@ -21,7 +21,7 @@ substitution in DESIGN.md / EXPERIMENTS.md.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -15,11 +15,11 @@ and ground-truth intervals for training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .events import EventInstance, EventSchedule, EventType
+from .events import EventSchedule, EventType
 
 __all__ = ["VideoStream", "StreamSegment"]
 

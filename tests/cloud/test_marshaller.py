@@ -1,15 +1,13 @@
 """Integration tests for the stream marshalling loop."""
 
-import numpy as np
 import pytest
 
 from repro.cloud import CloudInferenceService, StreamMarshaller
 from repro.conformal import ConformalClassifier
 from repro.core import BatchedInference, EventHit, EventHitConfig, train_eventhit
 from repro.data import build_experiment_data
-from repro.features import CovariatePipeline, FeatureExtractor
+from repro.features import CovariatePipeline
 from repro.video import make_thumos
-from repro.video.datasets import EVENT_TYPES
 from tests.helpers import calibrated
 
 

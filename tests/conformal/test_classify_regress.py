@@ -5,7 +5,13 @@ import pytest
 
 from repro.conformal import ConformalClassifier, ConformalRegressor, margin_nonconformity
 from repro.conformal.base import conformal_p_values, residual_quantile
-from repro.core import EventHit, EventHitConfig, threshold_predictions, train_eventhit
+from repro.core import (
+    EventHit,
+    EventHitConfig,
+    EventHitOutput,
+    threshold_predictions,
+    train_eventhit,
+)
 from repro.core.inference import PredictionBatch, extract_intervals
 from repro.data import RecordSet
 from repro.video.events import EventType
@@ -322,3 +328,96 @@ class TestDecideRewriteOracles:
         for field in ("exists", "starts", "ends"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
         assert got.exists is not exists
+
+
+def labelled_records(labels):
+    """Records carrying only ``labels``: what calibration reads of them."""
+    b, k = labels.shape
+    offsets = np.where(labels > 0, 1, 0)
+    return RecordSet(
+        event_types=[EventType(f"e{i}", 4, 1) for i in range(k)],
+        horizon=4,
+        frames=np.arange(b),
+        covariates=np.zeros((b, 1, 1)),
+        labels=labels,
+        starts=offsets,
+        ends=offsets,
+        censored=np.zeros((b, k)),
+    )
+
+
+def scores_output(scores):
+    scores = np.asarray(scores, dtype=float)
+    return EventHitOutput(scores, np.zeros(scores.shape + (4,)))
+
+
+def confidences(ns):
+    """A grid of c with both ends, plus every boundary 1 − m/(n+1) of the
+    p-value rule at these calibration sizes and its float neighbours: where
+    the compiled rule must land on the same side as ``p ≥ 1 − c``."""
+    cs = set(np.linspace(0.0, 1.0, 41))
+    for n in ns:
+        for m in range(n + 2):
+            c = 1.0 - m / (n + 1.0)
+            cs |= {c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)}
+    return sorted(c for c in cs if 0.0 <= c <= 1.0)
+
+
+class TestCompiledThresholds:
+    """Serving compiles Eq. 9 to ``a ≤ t_k(c)``; that must be the p-value
+    rule ``p ≥ 1 − c`` bit for bit."""
+
+    @pytest.mark.parametrize("measure", [None, margin_nonconformity])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_thresholds_equal_the_p_value_rule(self, measure, seed):
+        rng = np.random.default_rng(seed)
+        n_records = (1, 2, 5, 12, 30, 60)[seed]
+        # Scores on a coarse grid, so calibration positives tie with each
+        # other and test scores land exactly on calibration scores.
+        grid = np.linspace(0.0, 1.0, 11)
+        labels = (rng.random((n_records, 3)) < 0.5).astype(float)
+        labels[0] = 1.0  # every event has a positive; n = 1 when seed = 0
+        calib = rng.choice(grid, size=labels.shape)
+        clf = ConformalClassifier(measure).calibrate(
+            scores_output(calib), labelled_records(labels)
+        )
+        test = scores_output(
+            np.concatenate([rng.choice(grid, size=(40, 3)), calib])
+        )
+        p = clf.p_values(test)
+        for c in confidences(labels.sum(axis=0).astype(int)):
+            np.testing.assert_array_equal(
+                clf.predict(test, c), p >= 1.0 - c, err_msg=f"c={c}"
+            )
+
+    def test_ends_keep_all_and_none(self):
+        clf = ConformalClassifier().calibrate(
+            scores_output([[0.2], [0.9]]), labelled_records(np.ones((2, 1)))
+        )
+        assert clf.thresholds(1.0)[0] == np.inf
+        assert clf.thresholds(0.0)[0] == -np.inf
+        test = scores_output([[0.0], [0.5], [1.0]])
+        assert clf.predict(test, 1.0).all()
+        assert not clf.predict(test, 0.0).any()
+
+    def test_thresholds_are_memoized_read_only(self):
+        clf = ConformalClassifier().calibrate(
+            scores_output([[0.2], [0.9]]), labelled_records(np.ones((2, 1)))
+        )
+        assert clf.thresholds(0.5) is clf.thresholds(0.5)
+        with pytest.raises(ValueError):
+            clf.thresholds(0.5)[0] = 0.0
+
+    def test_predict_requires_calibration(self):
+        with pytest.raises(RuntimeError):
+            ConformalClassifier().predict(scores_output([[0.5]]), 0.9)
+
+    def test_thresholds_memo_is_invalidated_by_calibrate(self, trained):
+        # Lifecycle recalibration reuses the classifier object.
+        model, calib, test = trained
+        clf = calibrated_classifier(model, calib)
+        before = clf.thresholds(0.9).copy()
+        clf.calibrate(engine_predict(model, test.covariates), test)
+        fresh = calibrated_classifier(model, test).thresholds(0.9)
+        np.testing.assert_array_equal(clf.thresholds(0.9), fresh)
+        assert not np.array_equal(before, fresh)  # the fixture can tell

@@ -9,24 +9,9 @@ from repro.core import (
     EventHitOutput,
     PredictionBatch,
     extract_intervals,
-    predict_existence,
     threshold_predictions,
 )
 from repro.core.inference import decide_intervals
-
-
-class TestPredictExistence:
-    def test_threshold_inclusive(self):
-        scores = np.array([[0.5, 0.49], [0.9, 0.1]])
-        out = predict_existence(scores, tau1=0.5)
-        np.testing.assert_array_equal(out, [[True, False], [True, False]])
-
-    def test_tau_validation(self):
-        with pytest.raises(ValueError):
-            predict_existence(np.zeros((1, 1)), tau1=1.5)
-
-    def test_tau_zero_all_positive(self):
-        assert predict_existence(np.zeros((2, 2)), tau1=0.0).all()
 
 
 class TestExtractIntervals:

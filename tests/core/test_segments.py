@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import extract_interval_segments, extract_intervals, segments_to_mask
+from repro.core import extract_interval_segments, extract_intervals
 from repro.metrics import recall_from_masks, spillage_from_masks
 
 
@@ -87,33 +87,10 @@ class TestExtractSegments:
         segments = extract_interval_segments(scores, tau2=0.5, min_gap=1)
         above = scores[0, 0] >= 0.5
         if above.any():
-            mask = segments_to_mask(segments, horizon=30)[0, 0]
+            mask = np.zeros(30, dtype=bool)
+            for start, end in segments[0][0]:
+                mask[start - 1 : end] = True
             np.testing.assert_array_equal(mask, above)
-
-
-class TestSegmentsToMask:
-    def test_basic_mask(self):
-        mask = segments_to_mask([[[(2, 3)]]], horizon=5)
-        np.testing.assert_array_equal(mask[0, 0], [False, True, True, False, False])
-
-    def test_exists_gating(self):
-        mask = segments_to_mask(
-            [[[(1, 5)], [(1, 5)]]], horizon=5,
-            exists=np.array([[True, False]]),
-        )
-        assert mask[0, 0].all()
-        assert not mask[0, 1].any()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            segments_to_mask([[[(0, 3)]]], horizon=5)
-        with pytest.raises(ValueError):
-            segments_to_mask([[[(1, 9)]]], horizon=5)
-        with pytest.raises(ValueError):
-            segments_to_mask([[[(1, 2)]]], horizon=0)
-        with pytest.raises(ValueError):
-            segments_to_mask([[[(1, 2)]]], horizon=5,
-                             exists=np.array([[True, False]]))
 
 
 class TestMaskMetrics:

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.cloud import CloudInferenceService
+from repro.conformal import ConformalClassifier
 from repro.fleet import FleetCIService, FleetLane, FleetMarshaller
 from repro.lifecycle import LifecycleController, ModelRegistry
 
@@ -129,3 +130,21 @@ class TestFleet:
             assert serialize(observed.per_stream[name]) == serialize(
                 baseline.per_stream[name]
             ), f"lane {name} diverged under a zero-swap lifecycle"
+
+    def test_lifecycle_free_fleet_never_reads_p_values(
+        self, make_marshaller, lanes, monkeypatch
+    ):
+        # Serving decides C-CLASSIFY through compiled thresholds; only the
+        # lifecycle's drift detector reads p-values.
+        def no_p_values(self, output):
+            raise AssertionError("p_values called on the serving path")
+
+        monkeypatch.setattr(ConformalClassifier, "p_values", no_p_values)
+        fleet = FleetMarshaller(make_marshaller(), scheduler="round-robin")
+        report = fleet.run(
+            lanes,
+            FleetCIService([lane.stream for lane in lanes]),
+            max_horizons=MAX_HORIZONS,
+        )
+        assert report.ticks == MAX_HORIZONS
+        assert report.relays_flushed > 0

@@ -2,7 +2,7 @@
 
 Three pins (beyond the gradchecks in ``test_gradcheck.py``):
 
-* the ``REPRO_NN_FUSED`` escape hatch and the ``use_fused`` override;
+* the ``use_fused`` switch, the only way off the fused path;
 * ``no_grad`` forwards are graph-free and bitwise equal to the fused
   training forward;
 * a full ``train_eventhit`` run follows the same per-epoch loss
@@ -25,37 +25,28 @@ from repro.nn import (
     total_loss,
     use_fused,
 )
-from repro.nn import fused as fused_mod
 from repro.video.events import EventType
 
 RNG = np.random.default_rng(11)
 
 
 # ----------------------------------------------------------------------
-# Escape hatch
+# Switch
 # ----------------------------------------------------------------------
 class TestSwitch:
     def test_default_is_fused(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NN_FUSED", raising=False)
-        monkeypatch.setattr(fused_mod, "_OVERRIDE", None)
+        assert fused_enabled()
+        # No environment variable switches the path; only use_fused does.
+        monkeypatch.setenv("REPRO_NN_FUSED", "0")
         assert fused_enabled()
 
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setattr(fused_mod, "_OVERRIDE", None)
-        monkeypatch.setenv("REPRO_NN_FUSED", "0")
-        assert not fused_enabled()
-        monkeypatch.setenv("REPRO_NN_FUSED", "1")
+    def test_context_manager_nests_and_restores(self):
+        with use_fused(False):
+            assert not fused_enabled()
+            with use_fused(True):
+                assert fused_enabled()
+            assert not fused_enabled()
         assert fused_enabled()
-
-    def test_context_manager_overrides_env(self, monkeypatch):
-        monkeypatch.setattr(fused_mod, "_OVERRIDE", None)
-        monkeypatch.setenv("REPRO_NN_FUSED", "0")
-        with use_fused(True):
-            assert fused_enabled()
-            with use_fused(False):
-                assert not fused_enabled()
-            assert fused_enabled()
-        assert not fused_enabled()
 
     def test_reference_path_builds_per_step_graph(self):
         lstm = LSTM(2, 3, rng=np.random.default_rng(0))

@@ -645,3 +645,141 @@ def test_private_call_scan_catches_planted_violations(tmp_path):
     assert len(hits) == 2
     assert "bad.py:5" in hits[0] and "m._decide" in hits[0]
     assert "bad.py:6" in hits[1] and "self.marshaller._engine_reset" in hits[1]
+
+
+# ----------------------------------------------------------------------
+# No unused imports in src/repro
+# ----------------------------------------------------------------------
+# A name is read when its module loads it, lists it in ``__all__`` or
+# names it inside a string annotation (``"FleetScheduler | str"``), or
+# when another module imports it from this one (a re-export).
+# ``__init__`` modules are re-export lists and are not scanned.
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+# Each directory whose modules may import from src/repro, with the root its
+# module names are relative to.
+IMPORTERS = (
+    (SRC_ROOT, SRC_ROOT.parent),
+    (REPO_ROOT / "tests", REPO_ROOT),
+    (REPO_ROOT / "benchmarks", REPO_ROOT),
+    (REPO_ROOT / "examples", REPO_ROOT),
+)
+
+
+def _module_name(path, root):
+    parts = list(path.relative_to(root).with_suffix("").parts)
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def names_imported_from(path, root):
+    """``(module, name)`` for each ``from module import name`` in one file,
+    relative modules resolved against ``root``."""
+    module = _module_name(path, root)
+    package = module.split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        target = node.module
+        if node.level:
+            base = package[: len(package) - node.level + 1]
+            target = ".".join(base + ([node.module] if node.module else []))
+        found.update((target, alias.name) for alias in node.names)
+    return found
+
+
+def _annotation_names(annotation):
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= _annotation_names(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def scan_unused_imports(path, root=None, reexported=frozenset()):
+    """Imported names one module never reads; ``reexported`` holds the
+    ``(module, name)`` pairs other modules import from it."""
+    root = root or SRC_ROOT.parent
+    rel = path.relative_to(root) if path.is_relative_to(root) else path
+    module = _module_name(path, root)
+    tree = ast.parse(path.read_text())
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            read |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.FunctionDef) and node.returns is not None:
+            read |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            read |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            read.update(elt.value for elt in getattr(node.value, "elts", ()))
+    return [
+        f"{rel}:{line}: {name} is imported but never used; delete the import"
+        for name, line in sorted(bound.items(), key=lambda item: item[1])
+        if name not in read and (module, name) not in reexported
+    ]
+
+
+def test_src_has_no_unused_imports():
+    reexported = set()
+    for directory, root in IMPORTERS:
+        for path in directory.rglob("*.py"):
+            reexported |= names_imported_from(path, root)
+    violations = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        if path.name != "__init__.py":
+            violations.extend(scan_unused_imports(path, reexported=reexported))
+    assert not violations, "\n".join(violations)
+
+
+def test_unused_import_scan_catches_planted_violations(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    planted = package / "mod.py"
+    planted.write_text(
+        '"""Docstrings naming Tuple or np do not count as a use."""\n'
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Dict, Tuple\n"
+        "from .base import Exported, Lane, Scheduler, Shared, Unused\n"
+        "from .other import helper as alias\n"
+        "\n"
+        '__all__ = ["Exported"]\n'
+        "\n"
+        'def run(lanes: "list[Lane]", scheduler: "Scheduler | str") -> Dict:\n'
+        "    return os.path.join(*lanes)\n"
+    )
+    hits = scan_unused_imports(
+        planted, root=tmp_path, reexported={("pkg.mod", "Shared")}
+    )
+    assert [hit.split(": ")[1] for hit in hits] == [
+        "np is imported but never used; delete the import",
+        "Tuple is imported but never used; delete the import",
+        "Unused is imported but never used; delete the import",
+        "alias is imported but never used; delete the import",
+    ]
+    assert hits[0].startswith("pkg/mod.py:4")
+    assert names_imported_from(planted, tmp_path) >= {
+        ("pkg.base", "Shared"),
+        ("pkg.other", "helper"),
+    }
