@@ -60,10 +60,10 @@ def test_multi_instance_segments(benchmark, save_result):
         live_features = extractor.extract(live_stream, [ET])
 
         reports = {}
-        for name, segmented in (("span", False), ("segmented", True)):
+        for name, segment_min_gap in (("span", None), ("segmented", 5)):
             service = CloudInferenceService(live_stream)
             marshaller = StreamMarshaller(
-                model, [ET], pipeline, segmented=segmented, segment_min_gap=5
+                model, [ET], pipeline, segment_min_gap=segment_min_gap
             )
             reports[name] = marshaller.run(live_stream, live_features, service)
         return reports

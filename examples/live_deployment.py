@@ -120,15 +120,15 @@ def main() -> None:
         # One horizon decision: predict, relay, skip ahead.
         output = engine.predict(buffer.window()[None])
         exists = classifier.predict(output, confidence)
-        batch = regressor.predict(output, exists, alpha)
+        _, _, starts, ends = regressor.predict(output, exists, alpha)
         truth = set()
         for ev in live_stream.schedule.events_in_horizon(TRUCK, frame, HORIZON):
             truth.update(range(frame + ev.start_offset,
                                frame + ev.end_offset + 1))
         truth_frames += len(truth)
-        if exists[0, 0]:
+        if exists[0, 0]:  # the one kept pair's widened run
             segment = live_stream.segment(
-                frame + int(batch.starts[0, 0]), frame + int(batch.ends[0, 0])
+                frame + int(starts[0]), frame + int(ends[0])
             )
             detections = service.detect(segment, TRUCK)
             frames_relayed += segment.num_frames

@@ -22,9 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from ..conformal.classify import ConformalClassifier
 from ..conformal.regress import ConformalRegressor
 from ..core.batched import BatchedInference
-from ..core.inference import (
-    decide_existence, decide_intervals, extract_interval_segments,
-)
+from ..core.inference import decide_runs
 from ..core.model import EventHit
 from ..features.extractors import FeatureMatrix
 from ..features.pipeline import CovariatePipeline
@@ -38,21 +36,6 @@ __all__ = ["MarshallingReport", "StreamMarshaller", "FAILURE_POLICIES"]
 
 #: Valid ``failure_policy`` values for :meth:`StreamMarshaller.run`.
 FAILURE_POLICIES = ("raise", "skip", "defer")
-
-
-def _merge_runs(runs):
-    """Merge overlapping/adjacent (start, end) offset runs after widening."""
-    if not runs:
-        return []
-    ordered = sorted(runs)
-    merged = [ordered[0]]
-    for start, end in ordered[1:]:
-        prev_start, prev_end = merged[-1]
-        if start <= prev_end + 1:
-            merged[-1] = (prev_start, max(prev_end, end))
-        else:
-            merged.append((start, end))
-    return merged
 
 
 @dataclass
@@ -230,16 +213,15 @@ class StreamMarshaller:
     confidence / alpha:
         Knobs c and α.
     tau1 / tau2:
-        Fallback thresholds (Eqs. 4–5).
-    segmented:
-        Multi-instance mode (paper footnote 1): relay each contiguous run
-        of above-τ2 offsets as its own segment instead of one min..max
-        span — with two event instances in a horizon, the idle gap between
-        them is not billed.  C-REGRESS widening, when configured, is
-        applied per segment.
+        Fallback thresholds (Eqs. 4–5); τ2 must lie in [0, 1].
     segment_min_gap:
-        Runs closer than this many offsets are merged (filters score dips
-        inside one occurrence).
+        ``None`` (default) relays one min..max span per kept pair (Eq. 6).
+        An integer ≥ 1 selects the multi-instance mode of paper footnote
+        1: each run of above-τ2 offsets is its own segment, with runs
+        closer than this many offsets merged (filters score dips inside
+        one occurrence) — with two event instances in a horizon, the idle
+        gap between them is not billed.  C-REGRESS widening, when
+        configured, is applied per run.
 
     The per-horizon forward pass runs through :attr:`inference`, a
     :class:`~repro.core.batched.BatchedInference` engine bound to
@@ -259,8 +241,7 @@ class StreamMarshaller:
         alpha: float = 0.9,
         tau1: float = 0.5,
         tau2: float = 0.5,
-        segmented: bool = False,
-        segment_min_gap: int = 5,
+        segment_min_gap: Optional[int] = None,
     ):
         if len(event_types) != model.num_events:
             raise ValueError(
@@ -275,17 +256,18 @@ class StreamMarshaller:
             raise ValueError("confidence must be in [0, 1]")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
+        if not 0.0 <= tau2 <= 1.0:
+            raise ValueError("tau2 must be in [0, 1]")
+        if segment_min_gap is not None and segment_min_gap < 1:
+            raise ValueError("segment_min_gap must be >= 1")
         self.event_types = list(event_types)
         self.pipeline = pipeline
         self.classifier = classifier
         self.regressor = regressor
         self.confidence = confidence
         self.alpha = alpha
-        if segment_min_gap < 1:
-            raise ValueError("segment_min_gap must be >= 1")
         self.tau1 = tau1
         self.tau2 = tau2
-        self.segmented = segmented
         self.segment_min_gap = segment_min_gap
         self.inference = BatchedInference(model)
         self.horizon = model.config.horizon
@@ -297,60 +279,30 @@ class StreamMarshaller:
 
     # ------------------------------------------------------------------
     def decide(self, output) -> tuple:
-        """``(exists, kept)``: the ``(B, K)`` bool existence decision and,
-        for each pair it keeps, ``(row, event, runs)`` with ``runs`` that
-        pair's ``[(start, end), ...]`` horizon offsets, in row-major order.
+        """``(exists, relays)``: the ``(B, K)`` bool existence decision and
+        one ``(row, event, start, end)`` per relayed run, in row-major
+        order, each pair's runs in offset order; ``start``/``end`` are
+        inclusive horizon offsets.
 
-        Only kept pairs are listed; a pair ``exists`` drops relays nothing.
-        In segmented mode a kept pair may carry no runs.  Batch-native:
-        every underlying operation (conformal p-values, interval
-        extraction, C-REGRESS widening) is row-independent, so row ``b``'s
-        runs are exactly what a single-row call would return — the fleet
-        marshaller decides all lanes in this one call.
-        The rule is :func:`~repro.core.inference.decide_intervals`, as for
-        the §VI.B variants; span mode gives each event at most one segment
-        per row, and segmented mode widens each run.  Both
-        modes read occurrence scores only for the (row, event) pairs the
-        existence decision keeps (:meth:`EventHitOutput.kept_frame_scores
-        <repro.core.model.EventHitOutput.kept_frame_scores>`), and span
-        mode reads the decision's kept-pair form
-        (:meth:`~repro.core.inference.PredictionBatch.kept`) without
-        building ``(B, K)`` interval arrays.
+        The rule is :func:`~repro.core.inference.decide_runs`, as for the
+        §VI.B variants, with :attr:`segment_min_gap` bridging: span mode
+        gives each kept pair one run.  A pair ``exists`` drops relays
+        nothing, and occurrence scores are read only for the pairs it
+        keeps.  Batch-native: every underlying operation (conformal
+        thresholds, run extraction, C-REGRESS widening) is
+        row-independent, so row ``b``'s runs are exactly what a single-row
+        call would return — the fleet marshaller decides all lanes in this
+        one call.
         """
-        if self.segmented:
-            exists = decide_existence(
-                output, self.classifier, self.confidence, self.tau1
-            )
-            rows, cols, scores = output.kept_frame_scores(exists)
-            kept = [
-                runs
-                for (runs,) in extract_interval_segments(
-                    scores[:, None, :], self.tau2, min_gap=self.segment_min_gap
-                )
-            ]
-            if self.regressor is not None:
-                quantiles = self.regressor.quantiles(self.alpha).astype(int)
-                kept = [
-                    _merge_runs(
-                        [
-                            (max(1, s - q_start), min(self.horizon, e + q_end))
-                            for s, e in runs
-                        ]
-                    )
-                    for (q_start, q_end), runs in zip(quantiles[cols].tolist(), kept)
-                ]
-                inc("marshal.widenings", sum(len(runs) for runs in kept))
-        else:
-            predictions = decide_intervals(
-                output, self.classifier, self.regressor,
-                self.confidence, self.alpha, self.tau1, self.tau2,
-            )
-            exists = predictions.exists
-            rows, cols, starts, ends = predictions.kept()
-            if self.regressor is not None:
-                inc("marshal.widenings", len(rows))
-            kept = [[(s, e)] for s, e in zip(starts.tolist(), ends.tolist())]
-        return exists, list(zip(rows.tolist(), cols.tolist(), kept))
+        exists, (rows, cols, starts, ends) = decide_runs(
+            output, self.classifier, self.regressor, self.confidence,
+            self.alpha, self.tau1, self.tau2, self.segment_min_gap,
+        )
+        if self.regressor is not None:
+            inc("marshal.widenings", len(rows))
+        return exists, list(
+            zip(rows.tolist(), cols.tolist(), starts.tolist(), ends.tolist())
+        )
 
     def run(
         self,

@@ -4,7 +4,8 @@ For each event E_k, evaluate EventHit on the calibration records where the
 event occurs, compute the absolute residuals of the predicted start and end
 offsets against ground truth, and take their α-quantiles q̂ˢ_k and q̂ᵉ_k.
 At prediction time the estimated interval [T̂ˢ, T̂ᵉ] is widened to
-[max(1, T̂ˢ − q̂ˢ), min(H, T̂ᵉ + q̂ᵉ)].
+[max(1, T̂ˢ − q̂ˢ), min(H, T̂ᵉ + q̂ᵉ)] (Eq. 11); in footnote-1 mode each run
+is widened so, and a pair's runs that then overlap or touch are merged.
 
 Theorem 5.2: under exchangeability the true start/end offsets fall inside
 ±q̂ of the estimates with probability ≥ α, so larger α trades extra relayed
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.inference import PredictionBatch, extract_intervals, kept_pair_intervals
+from ..core.inference import Runs, kept_pair_runs, merge_runs
 from ..core.model import EventHitOutput
 from ..data.records import RecordSet
 from ..obs import span
@@ -69,23 +70,22 @@ class ConformalRegressor:
         """
         check_calibration_output(output, calibration)
         with span("calibrate.regress", records=len(calibration)):
-            pred_starts, pred_ends = extract_intervals(
-                output.frame_scores, self.tau2
+            positive = calibration.labels > 0
+            rows, cols, pred_starts, pred_ends = kept_pair_runs(
+                output, positive, self.tau2
             )
             residuals: List[_EventResiduals] = []
             for k in range(calibration.num_events):
-                positive = calibration.labels[:, k] > 0
-                if not positive.any():
+                if not positive[:, k].any():
                     raise ValueError(
                         f"calibration set has no positive records for event "
                         f"index {k}; cannot calibrate"
                     )
+                event = cols == k
                 start_res = np.abs(
-                    pred_starts[positive, k] - calibration.starts[positive, k]
+                    pred_starts[event] - calibration.starts[rows[event], k]
                 )
-                end_res = np.abs(
-                    pred_ends[positive, k] - calibration.ends[positive, k]
-                )
+                end_res = np.abs(pred_ends[event] - calibration.ends[rows[event], k])
                 residuals.append(
                     _EventResiduals(
                         start_residuals=np.sort(start_res.astype(float)),
@@ -116,53 +116,20 @@ class ConformalRegressor:
             self._quantiles[alpha] = q
         return q.copy()
 
-    def widen(self, predictions: PredictionBatch, alpha: float) -> PredictionBatch:
-        """Eq. 11: widen predicted intervals by the α-quantile residuals.
-
-        Start offsets move earlier (clamped at 1), end offsets later
-        (clamped at H); events predicted absent are untouched.
-        """
-        return self._widened(
-            predictions.exists.copy(),
-            *predictions.kept(),
-            predictions.horizon,
-            alpha,
-        )
-
-    def _widened(
-        self,
-        exists: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        horizon: int,
-        alpha: float,
-    ) -> PredictionBatch:
-        """The kept pairs' intervals widened by their events' quantiles."""
-        q = self.quantiles(alpha).astype(int)
-        return PredictionBatch.from_kept(
-            exists,
-            rows,
-            cols,
-            np.maximum(1, starts - q[cols, 0]),
-            np.minimum(horizon, ends + q[cols, 1]),
-            horizon,
-        )
-
     def predict(
         self,
         output: EventHitOutput,
         exists: np.ndarray,
         alpha: float,
-    ) -> PredictionBatch:
-        """Full C-REGRESS pass: extract raw intervals, then widen.
+        min_gap: Optional[int] = None,
+    ) -> Runs:
+        """Full C-REGRESS pass: extract runs, then widen them (Eq. 11).
 
-        Intervals are extracted and widened only for the (row, event)
-        pairs ``exists`` keeps
-        (:func:`~repro.core.inference.kept_pair_intervals`), and the batch
-        is built in kept-pair form; the rest read zero, as they always
-        have.
+        Runs are extracted at the τ2 this layer was calibrated at, only
+        for the (row, event) pairs ``exists`` keeps
+        (:func:`~repro.core.inference.kept_pair_runs`); each start moves
+        earlier by q̂ˢ (clamped at 1) and each end later by q̂ᵉ (clamped at
+        H), and a pair's runs that then overlap or touch are merged.
 
         Parameters
         ----------
@@ -173,11 +140,20 @@ class ConformalRegressor:
             thresholding or from C-CLASSIFY).
         alpha:
             Coverage level α.
+        min_gap:
+            Footnote-1 gap bridging before widening; ``None`` (Eq. 6)
+            gives one run per kept pair.
+
+        Returns
+        -------
+        ``(rows, events, starts, ends)``, one entry per widened run, in
+        row-major order.
         """
-        exists = np.array(exists, dtype=bool)
-        return self._widened(
-            exists,
-            *kept_pair_intervals(output, exists, self.tau2),
-            output.horizon,
-            alpha,
-        )
+        rows, cols, starts, ends = kept_pair_runs(output, exists, self.tau2, min_gap)
+        q = self.quantiles(alpha).astype(int)
+        starts = np.maximum(1, starts - q[cols, 0])
+        ends = np.minimum(output.horizon, ends + q[cols, 1])
+        if min_gap is None:  # one run per pair: nothing to merge
+            return rows, cols, starts, ends
+        first, last = merge_runs(rows * len(q) + cols, starts, ends, min_gap=1)
+        return rows[first], cols[first], starts[first], ends[last]

@@ -12,8 +12,7 @@ from .config import EventHitConfig
 from .model import EventHit, EventHitOutput
 from .inference import (
     PredictionBatch,
-    extract_interval_segments,
-    extract_intervals,
+    kept_pair_runs,
     threshold_predictions,
 )
 from .trainer import Trainer, TrainingHistory, train_eventhit
@@ -26,8 +25,7 @@ __all__ = [
     "EventHit",
     "EventHitOutput",
     "PredictionBatch",
-    "extract_intervals",
-    "extract_interval_segments",
+    "kept_pair_runs",
     "threshold_predictions",
     "Trainer",
     "TrainingHistory",

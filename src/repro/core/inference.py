@@ -7,13 +7,19 @@ Given Θ_k = [b_k, θ_{k,1..H}]:
   to one continuous range [min v, max v] (the paper notes the raw
   above-threshold set may be discontinuous).
 
+Footnote 1's multi-instance variant keeps each run of above-τ2 offsets
+instead, bridging gaps shorter than ``min_gap`` offsets.  Eq. 6's range is
+that rule with every gap bridged, so :func:`kept_pair_runs` serves both:
+``min_gap=None`` gives one run per pair.
+
 If an event is predicted present but no offset clears τ2, we fall back to a
 single-frame interval at the argmax offset, so a positive existence
 prediction always yields a non-empty relay range (the paper leaves this
 corner unspecified; an empty range would silently drop the event).
 
 The §VI.B variants and the serving marshaller decide through one rule,
-:func:`decide_intervals`, which swaps in C-CLASSIFY and C-REGRESS when given.
+:func:`decide_runs`, which swaps in C-CLASSIFY and C-REGRESS when given;
+:func:`decide_intervals` is its dense, one-run-per-pair form.
 
 The Θ scores come from a serving engine
 (:class:`~repro.core.batched.BatchedInference`: the fused kernels of
@@ -35,13 +41,17 @@ if TYPE_CHECKING:  # conformal imports core: type the layers only
 
 __all__ = [
     "PredictionBatch",
-    "extract_intervals",
-    "kept_pair_intervals",
+    "kept_pair_runs",
+    "merge_runs",
     "decide_existence",
+    "decide_runs",
     "decide_intervals",
     "threshold_predictions",
-    "extract_interval_segments",
 ]
+
+#: ``(rows, events, starts, ends)``: one entry per run, row-major, each
+#: pair's runs in offset order; offsets are 1-based and inclusive.
+Runs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class PredictionBatch:
@@ -50,11 +60,6 @@ class PredictionBatch:
     ``starts``/``ends`` are ``(B, K)`` horizon offsets in [1, H];
     rows/columns where ``exists`` is False carry zeros and represent "no
     frames relayed".
-
-    A batch built :meth:`from_kept` (the serving decision) holds only the
-    kept pairs' intervals, validated on those N values; the ``(B, K)``
-    arrays are materialized on first read.  :meth:`kept` gives the
-    kept-pair form of either kind of batch.
     """
 
     def __init__(
@@ -69,68 +74,17 @@ class PredictionBatch:
         ends = np.asarray(ends, dtype=int)
         if exists.shape != starts.shape or starts.shape != ends.shape:
             raise ValueError("exists/starts/ends shapes must match")
-        _check_offsets(starts[exists], ends[exists], horizon)
+        if horizon <= 0:
+            raise ValueError("horizon must be positive")
+        kept_starts, kept_ends = starts[exists], ends[exists]
+        if np.any(kept_starts < 1) or np.any(kept_ends > horizon):
+            raise ValueError("predicted offsets must lie in [1, H]")
+        if np.any(kept_starts > kept_ends):
+            raise ValueError("start offsets must be <= end offsets")
         self.exists = exists
         self.horizon = horizon
-        self._starts = np.where(exists, starts, 0)
-        self._ends = np.where(exists, ends, 0)
-        self._kept: Optional[Tuple[np.ndarray, ...]] = None
-
-    @classmethod
-    def from_kept(
-        cls,
-        exists: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        horizon: int,
-    ) -> "PredictionBatch":
-        """A batch from the kept pairs' intervals alone.
-
-        ``rows``/``cols`` index ``exists``'s True entries in row-major
-        order (``np.nonzero(exists)``) and ``starts``/``ends`` are those
-        N pairs' offsets.
-        """
-        exists = np.asarray(exists, dtype=bool)
-        if exists.ndim != 2:
-            raise ValueError("exists must be (B, K)")
-        if not len(rows) == len(cols) == len(starts) == len(ends):
-            raise ValueError("rows/cols/starts/ends lengths must match")
-        _check_offsets(starts, ends, horizon)
-        batch = cls.__new__(cls)
-        batch.exists = exists
-        batch.horizon = horizon
-        batch._starts = batch._ends = None
-        batch._kept = (rows, cols, starts, ends)
-        return batch
-
-    def kept(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, cols, starts, ends)`` of the pairs ``exists`` keeps, in
-        row-major order."""
-        if self._kept is None:
-            rows, cols = np.nonzero(self.exists)
-            self._kept = (rows, cols, self._starts[rows, cols], self._ends[rows, cols])
-        return self._kept
-
-    def _materialize(self) -> None:
-        rows, cols, starts, ends = self._kept
-        self._starts = np.zeros(self.exists.shape, dtype=int)
-        self._ends = np.zeros(self.exists.shape, dtype=int)
-        self._starts[rows, cols] = starts
-        self._ends[rows, cols] = ends
-
-    @property
-    def starts(self) -> np.ndarray:
-        if self._starts is None:
-            self._materialize()
-        return self._starts
-
-    @property
-    def ends(self) -> np.ndarray:
-        if self._ends is None:
-            self._materialize()
-        return self._ends
+        self.starts = np.where(exists, starts, 0)
+        self.ends = np.where(exists, ends, 0)
 
     @property
     def batch_size(self) -> int:
@@ -145,60 +99,81 @@ class PredictionBatch:
         return np.where(self.exists, self.ends - self.starts + 1, 0)
 
 
-def _check_offsets(starts: np.ndarray, ends: np.ndarray, horizon: int) -> None:
-    """Kept pairs' offsets must satisfy 1 <= start <= end <= H."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if np.any(starts < 1) or np.any(ends > horizon):
-        raise ValueError("predicted offsets must lie in [1, H]")
-    if np.any(starts > ends):
-        raise ValueError("start offsets must be <= end offsets")
-
-
-def extract_intervals(
-    frame_scores: np.ndarray, tau2: float = 0.5
+def merge_runs(
+    pairs: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    min_gap: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Eqs. 5–6: continuous interval spanned by offsets with θ ≥ τ2.
+    """Merge each pair's runs separated by fewer than ``min_gap`` offsets
+    (every gap when ``None``); ``min_gap=1`` merges overlapping and
+    adjacent runs only.
 
-    Returns (starts, ends) as offsets in [1, H]; falls back to the argmax
-    offset when no score clears τ2.
+    ``pairs`` keys each run's pair.  A pair's runs must be consecutive and
+    in offset order, with starts and ends each non-decreasing: disjoint
+    runs are, and so are those runs widened by one pair's quantiles.
+    Returns ``(first, last)``, the indices of each merged run's first and
+    last input run: it spans ``starts[first]`` to ``ends[last]``.
     """
-    if not 0.0 <= tau2 <= 1.0:
-        raise ValueError("tau2 must be in [0, 1]")
-    frame_scores = np.asarray(frame_scores)
-    if frame_scores.ndim != 3:
-        raise ValueError("frame_scores must be (B, K, H)")
-    horizon = frame_scores.shape[2]
-    # One pass per end: argmax on the mask finds the first True offset,
-    # and on the reversed mask the last; the gathered first slot says
-    # whether anything cleared τ2 at all.
-    above = frame_scores >= tau2
-    first = above.argmax(axis=2)
-    last = horizon - 1 - above[:, :, ::-1].argmax(axis=2)
-    any_above = np.take_along_axis(above, first[:, :, None], axis=2)[:, :, 0]
-    starts = first + 1
-    ends = last + 1
-    if not any_above.all():
-        peak = frame_scores.argmax(axis=2) + 1
-        starts = np.where(any_above, starts, peak)
-        ends = np.where(any_above, ends, peak)
-    return starts.astype(int), ends.astype(int)
+    count = len(pairs)
+    new = np.ones(count, dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+    if min_gap is not None:
+        # The gap between runs is start - previous end - 1 offsets.
+        new[1:] |= starts[1:] - ends[:-1] > min_gap
+    first = np.flatnonzero(new)
+    last = np.empty_like(first)
+    last[:-1] = first[1:] - 1
+    last[-1:] = count - 1
+    return first, last
 
 
-def kept_pair_intervals(
-    output: EventHitOutput, exists: np.ndarray, tau2: float = 0.5
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`extract_intervals` for only the (row, event) pairs ``exists``
-    keeps: ``(rows, cols, starts, ends)``, one entry per kept pair in
-    row-major order.
+def kept_pair_runs(
+    output: EventHitOutput,
+    exists: np.ndarray,
+    tau2: float = 0.5,
+    min_gap: Optional[int] = None,
+) -> Runs:
+    """The runs of offsets with θ ≥ τ2 for the (row, event) pairs
+    ``exists`` keeps, with gaps under ``min_gap`` offsets bridged
+    (footnote 1); ``min_gap=None`` bridges every gap, which is Eq. 6's
+    single [min v, max v] range.  A pair with no offset at τ2 gets the
+    one-offset run at its argmax.
 
     Only the kept pairs' occurrence scores are read
     (:meth:`EventHitOutput.kept_frame_scores`), so a lazily activated
     output never activates the rest.
     """
+    if not 0.0 <= tau2 <= 1.0:
+        raise ValueError("tau2 must be in [0, 1]")
+    if min_gap is not None and min_gap < 1:
+        raise ValueError("min_gap must be >= 1")
     rows, cols, scores = output.kept_frame_scores(exists)
-    starts, ends = extract_intervals(scores[:, None, :], tau2)
-    return rows, cols, starts[:, 0], ends[:, 0]
+    count, horizon = scores.shape
+    # One leading False, then each pair's H offsets and a False column:
+    # one 1-D compare over the flat buffer finds every run's edges, and no
+    # run spills into the next pair.
+    width = horizon + 1
+    flat = np.zeros(count * width + 1, dtype=bool)
+    above = flat[1:].reshape(count, width)[:, :horizon]
+    np.greater_equal(scores, tau2, out=above)
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    pairs = edges[0::2] // width
+    starts = edges[0::2] - pairs * width + 1
+    ends = edges[1::2] - pairs * width
+    hit = np.zeros(count, dtype=bool)
+    hit[pairs] = True
+    if not hit.all():
+        missed = np.flatnonzero(~hit)
+        peaks = scores[missed].argmax(axis=1) + 1
+        pairs = np.concatenate([pairs, missed])
+        order = np.argsort(pairs, kind="stable")
+        pairs = pairs[order]
+        starts = np.concatenate([starts, peaks])[order]
+        ends = np.concatenate([ends, peaks])[order]
+    first, last = merge_runs(pairs, starts, ends, min_gap)
+    pairs = pairs[first]
+    return rows[pairs], cols[pairs], starts[first], ends[last]
 
 
 def decide_existence(
@@ -216,6 +191,25 @@ def decide_existence(
     return output.scores >= tau1
 
 
+def decide_runs(
+    output: EventHitOutput,
+    classifier: Optional["ConformalClassifier"] = None,
+    regressor: Optional["ConformalRegressor"] = None,
+    confidence: float = 0.9,
+    alpha: float = 0.9,
+    tau1: float = 0.5,
+    tau2: float = 0.5,
+    min_gap: Optional[int] = None,
+) -> Tuple[np.ndarray, Runs]:
+    """``(exists, runs)``: :func:`decide_existence`, then the kept pairs'
+    runs (:func:`kept_pair_runs`): C-REGRESS at α (Eq. 11, from runs at
+    the regressor's own τ2) if given, else at ``tau2``."""
+    exists = decide_existence(output, classifier, confidence, tau1)
+    if regressor is not None:
+        return exists, regressor.predict(output, exists, alpha, min_gap)
+    return exists, kept_pair_runs(output, exists, tau2, min_gap)
+
+
 def decide_intervals(
     output: EventHitOutput,
     classifier: Optional["ConformalClassifier"] = None,
@@ -225,15 +219,16 @@ def decide_intervals(
     tau1: float = 0.5,
     tau2: float = 0.5,
 ) -> PredictionBatch:
-    """:func:`decide_existence`, then the kept pairs' intervals: C-REGRESS
-    at α (Eq. 11, from raw intervals at the regressor's own τ2) if given,
-    else Eqs. 5–6 at ``tau2``."""
-    exists = decide_existence(output, classifier, confidence, tau1)
-    if regressor is not None:
-        return regressor.predict(output, exists, alpha)
-    return PredictionBatch.from_kept(
-        exists, *kept_pair_intervals(output, exists, tau2), output.horizon
+    """:func:`decide_runs` in span mode, its one run per kept pair
+    scattered into a dense :class:`PredictionBatch`."""
+    exists, (rows, cols, starts, ends) = decide_runs(
+        output, classifier, regressor, confidence, alpha, tau1, tau2
     )
+    dense_starts = np.zeros(exists.shape, dtype=int)
+    dense_ends = np.zeros(exists.shape, dtype=int)
+    dense_starts[rows, cols] = starts
+    dense_ends[rows, cols] = ends
+    return PredictionBatch(exists, dense_starts, dense_ends, output.horizon)
 
 
 def threshold_predictions(
@@ -243,59 +238,3 @@ def threshold_predictions(
     if not 0.0 <= tau1 <= 1.0:
         raise ValueError("tau1 must be in [0, 1]")
     return decide_intervals(output, tau1=tau1, tau2=tau2)
-
-
-def extract_interval_segments(
-    frame_scores: np.ndarray, tau2: float = 0.5, min_gap: int = 1
-) -> list:
-    """Multiple occurrence intervals per horizon (paper footnote 1).
-
-    Eq. 6 spans the min..max above-threshold offsets with *one* interval;
-    when two event instances fall in the same horizon, that bridges the
-    idle gap between them and wastes CI frames.  This variant returns each
-    contiguous run of offsets with θ ≥ τ2 as its own segment, merging runs
-    separated by fewer than ``min_gap`` offsets (short score dips within a
-    single occurrence).  Falls back to the argmax offset when nothing
-    clears the threshold, matching :func:`extract_intervals`.
-
-    Returns
-    -------
-    A nested list ``segments[b][k] = [(start, end), ...]`` of 1-based
-    inclusive offset ranges, sorted by start.
-    """
-    if not 0.0 <= tau2 <= 1.0:
-        raise ValueError("tau2 must be in [0, 1]")
-    if min_gap < 1:
-        raise ValueError("min_gap must be >= 1")
-    frame_scores = np.asarray(frame_scores)
-    if frame_scores.ndim != 3:
-        raise ValueError("frame_scores must be (B, K, H)")
-    batch, events, horizon = frame_scores.shape
-    out = []
-    for b in range(batch):
-        per_event = []
-        for k in range(events):
-            above = frame_scores[b, k] >= tau2
-            if not above.any():
-                peak = int(frame_scores[b, k].argmax()) + 1
-                per_event.append([(peak, peak)])
-                continue
-            # Contiguous runs of True.
-            padded = np.concatenate([[False], above, [False]])
-            changes = np.flatnonzero(padded[1:] != padded[:-1])
-            runs = [
-                (int(changes[i]) + 1, int(changes[i + 1]))
-                for i in range(0, len(changes), 2)
-            ]
-            # Merge runs separated by less than min_gap offsets.
-            merged = [runs[0]]
-            for start, end in runs[1:]:
-                prev_start, prev_end = merged[-1]
-                if start - prev_end - 1 < min_gap:
-                    merged[-1] = (prev_start, end)
-                else:
-                    merged.append((start, end))
-            per_event.append(merged)
-        out.append(per_event)
-    return out
-

@@ -129,7 +129,8 @@ class DatasetBuilder:
         ``multi_instance`` enables the footnote-1 extension: the L2 target
         grid (``occupancy``) marks *every* instance in the horizon instead
         of only the first, so the trained θ scores light up for all of
-        them and segmented inference can relay each separately.
+        them and footnote-1 runs (``segment_min_gap``) can relay each
+        separately.
         """
         if features.num_frames != stream.length:
             raise ValueError("feature matrix length != stream length")

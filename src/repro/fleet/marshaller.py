@@ -320,7 +320,7 @@ class FleetMarshaller:
         # One batch-native decision pass for every lane: row i of the
         # batched output (and its runs) is bitwise the lane's solo
         # prediction, so this reproduces each lane's one-lane decisions.
-        exists_rows, kept = m.decide(output)
+        exists_rows, relays = m.decide(output)
         if lifecycle is not None:
             # Offer the decided tick for audit before frames advance;
             # observation never mutates marshaller or report state.
@@ -331,24 +331,23 @@ class FleetMarshaller:
                 exists_rows,
                 tick=tick,
             )
-        # Kept pairs come in row-major order, so requests stay grouped by
+        # Relays come in row-major order, so requests stay grouped by
         # lane, then event type, then run.
         requests: List[RelayRequest] = []
         event_types = m.event_types
-        for row, event, runs in kept:
+        for row, event, start_offset, end_offset in relays:
             state = active[row]
-            frame, stream = state.frame, state.stream
-            for start_offset, end_offset in runs:
-                requests.append(
-                    RelayRequest(
-                        lane=state.name,
-                        segment=stream.segment(
-                            frame + start_offset, frame + end_offset
-                        ),
-                        event_type=event_types[event],
-                        tick=tick,
-                    )
+            frame = state.frame
+            requests.append(
+                RelayRequest(
+                    lane=state.name,
+                    segment=state.stream.segment(
+                        frame + start_offset, frame + end_offset
+                    ),
+                    event_type=event_types[event],
+                    tick=tick,
                 )
+            )
         horizon = m.horizon
         for state in active:
             state.report.horizons_evaluated += 1

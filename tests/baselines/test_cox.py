@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import CoxPredictor, fit_cox
 from repro.data import RecordSet
-from repro.metrics import existence_recall, recall, spillage
+from repro.metrics import existence_recall, spillage
 from repro.video.events import EventType
 
 H = 30

@@ -4,11 +4,11 @@ Every Fig. 4–8 number comes from :class:`~repro.baselines.EventHitRule`
 over a cached forward pass; the fleet serves
 :meth:`StreamMarshaller.decide <repro.cloud.StreamMarshaller.decide>`.
 Both score through a serving engine and both call
-:func:`~repro.core.inference.decide_intervals`.  The first pins run the
+:func:`~repro.core.inference.decide_runs`.  The first pins run the
 two entry points on one trained model's test windows, through the
 serving engine; the second holds the shared rule
-to a full-array reference: ``extract_intervals`` over every pair masked
-by existence, and ``ConformalRegressor.widen`` over those raw intervals.
+to a full-array reference: Eqs. 5–6 by where/min/max over every pair
+masked by existence, and Eq. 11 over those raw intervals.
 """
 
 import numpy as np
@@ -17,11 +17,15 @@ import pytest
 from repro.baselines import EHC, EHCR, EHO, EHR, EventHitRule, OutputCache
 from repro.cloud import StreamMarshaller
 from repro.core import EventHitConfig, EventHitOutput, train_eventhit
-from repro.core.inference import PredictionBatch, decide_intervals, extract_intervals
+from repro.core.inference import PredictionBatch, decide_intervals
 from repro.data import RecordSet
 from repro.features import CovariatePipeline
 from repro.video.events import EventType
-from tests.helpers import calibrated_classifier, calibrated_regressor
+from tests.helpers import (
+    calibrated_classifier,
+    calibrated_regressor,
+    where_min_max_intervals,
+)
 
 HORIZON = 24
 EVENTS = 2
@@ -107,11 +111,11 @@ class TestOfflineEqualsServed:
                 **{**UNREAD, **rule.knobs, **knobs},
             )
             offline = rule.predict(test, **knobs)
-            exists, kept = served.decide(served.inference.predict(test.covariates))
+            exists, relays = served.decide(served.inference.predict(test.covariates))
             assert np.array_equal(offline.exists, exists)
             assert 0 < exists.sum() <= exists.size
-            assert kept == [
-                (b, k, [(int(offline.starts[b, k]), int(offline.ends[b, k]))])
+            assert relays == [
+                (b, k, int(offline.starts[b, k]), int(offline.ends[b, k]))
                 for b in range(len(test))
                 for k in range(EVENTS)
                 if exists[b, k]
@@ -131,11 +135,11 @@ class TestOfflineEqualsServed:
         assert cached.scores.tobytes() == output.scores.tobytes()
         assert cached.frame_scores.tobytes() == output.frame_scores.tobytes()
         offline = EHCR(model, classifier, regressor).predict(test)
-        exists, kept = served.decide(output)
+        exists, relays = served.decide(output)
         assert np.array_equal(offline.exists, exists)
         assert 0 < exists.sum() < exists.size
-        assert kept == [
-            (b, k, [(int(offline.starts[b, k]), int(offline.ends[b, k]))])
+        assert relays == [
+            (b, k, int(offline.starts[b, k]), int(offline.ends[b, k]))
             for b, k in zip(*np.nonzero(exists))
         ]
 
@@ -183,10 +187,12 @@ def full_array_rule(output, classifier, regressor, confidence, alpha, tau1, tau2
     else:
         exists = output.scores >= tau1
     tau2 = regressor.tau2 if regressor is not None else tau2
-    starts, ends = extract_intervals(output.frame_scores, tau2)
-    raw = PredictionBatch(exists, np.where(exists, starts, 0),
-                          np.where(exists, ends, 0), output.horizon)
-    return raw if regressor is None else regressor.widen(raw, alpha)
+    starts, ends = where_min_max_intervals(output.frame_scores, tau2)
+    if regressor is not None:
+        q = regressor.quantiles(alpha).astype(int)
+        starts = np.maximum(1, starts - q[None, :, 0])
+        ends = np.minimum(output.horizon, ends + q[None, :, 1])
+    return PredictionBatch(exists, starts, ends, output.horizon)
 
 
 class TestRuleEqualsFullArrayForm:

@@ -8,7 +8,7 @@ from repro.core import BatchedInference, EventHit, EventHitConfig, train_eventhi
 from repro.data import build_experiment_data
 from repro.features import CovariatePipeline
 from repro.video import make_thumos
-from tests.helpers import calibrated
+from tests.helpers import calibrated, calibrated_regressor
 
 
 CONFIG = EventHitConfig(
@@ -113,6 +113,21 @@ class TestMarshaller:
             StreamMarshaller(model, data.event_types, pipeline, confidence=2.0)
         with pytest.raises(ValueError):
             StreamMarshaller(model, data.event_types, pipeline, alpha=0.0)
+
+    def test_tau2_checked_at_construction(self, setup):
+        """τ2 outside [0, 1] is rejected by the constructor, not at the
+        first tick, and also when a regressor (which extracts at its own
+        τ2) is set."""
+        spec, data, model, pipeline = setup
+        regressor = calibrated_regressor(model, data.calibration)
+        for layer in (None, regressor):
+            for tau2 in (-0.1, 1.5, float("nan")):
+                with pytest.raises(ValueError, match="tau2"):
+                    StreamMarshaller(model, data.event_types, pipeline,
+                                     regressor=layer, tau2=tau2)
+            for tau2 in (0.0, 1.0):
+                StreamMarshaller(model, data.event_types, pipeline,
+                                 regressor=layer, tau2=tau2)
 
     def test_engine_is_the_one_owner_of_the_model(self, setup):
         spec, data, model, pipeline = setup

@@ -1,6 +1,5 @@
 """Tests for pricing models and the simulated CI service."""
 
-import numpy as np
 import pytest
 
 from repro.cloud import (

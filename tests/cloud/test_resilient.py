@@ -12,7 +12,6 @@ from repro.cloud import (
     CITransientError,
     CloudInferenceService,
     FaultInjector,
-    FaultPlan,
     ResilientCIClient,
     RetryPolicy,
 )

@@ -9,13 +9,16 @@ from repro.core import (
     EventHit,
     EventHitConfig,
     EventHitOutput,
-    threshold_predictions,
     train_eventhit,
 )
-from repro.core.inference import PredictionBatch, extract_intervals
 from repro.data import RecordSet
 from repro.video.events import EventType
-from tests.helpers import calibrated_classifier, calibrated_regressor, engine_predict
+from tests.helpers import (
+    calibrated_classifier,
+    calibrated_regressor,
+    engine_predict,
+    where_min_max_intervals,
+)
 
 
 def synthetic_records(b=96, h=16, seed=0, m=6, d=4):
@@ -173,36 +176,28 @@ class TestConformalRegressor:
     def test_widen_expands_and_clamps(self, trained):
         model, calib, _ = trained
         reg = calibrated_regressor(model, calib)
-        batch = PredictionBatch(
-            exists=np.array([[True]]),
-            starts=np.array([[2]]),
-            ends=np.array([[15]]),
-            horizon=16,
-        )
-        widened = reg.widen(batch, alpha=0.9)
-        assert widened.starts[0, 0] <= 2
-        assert widened.ends[0, 0] >= 15
-        assert widened.starts[0, 0] >= 1
-        assert widened.ends[0, 0] <= 16
+        scores = np.zeros((1, 1, 16))
+        scores[0, 0, 1:15] = 0.9  # the run [2, 15]
+        output = EventHitOutput(np.ones((1, 1)), scores)
+        _, _, starts, ends = reg.predict(output, np.ones((1, 1), dtype=bool), 0.9)
+        assert starts[0] <= 2
+        assert ends[0] >= 15
+        assert starts[0] >= 1
+        assert ends[0] <= 16
 
     def test_widen_ignores_absent_events(self, trained):
         model, calib, _ = trained
         reg = calibrated_regressor(model, calib)
-        batch = PredictionBatch(
-            exists=np.array([[False]]),
-            starts=np.array([[0]]),
-            ends=np.array([[0]]),
-            horizon=16,
-        )
-        widened = reg.widen(batch, alpha=0.9)
-        assert widened.starts[0, 0] == 0 and widened.ends[0, 0] == 0
+        output = EventHitOutput(np.ones((1, 1)), np.full((1, 1, 16), 0.9))
+        runs = reg.predict(output, np.zeros((1, 1), dtype=bool), 0.9)
+        assert [len(array) for array in runs] == [0, 0, 0, 0]
 
     def test_coverage_theorem52(self, trained):
         """True starts/ends fall inside ±q̂ with frequency ≥ α − slack."""
         model, calib, test = trained
         reg = calibrated_regressor(model, calib)
         output = engine_predict(model, test.covariates)
-        pred_starts, pred_ends = extract_intervals(output.frame_scores, 0.5)
+        pred_starts, pred_ends = where_min_max_intervals(output.frame_scores, 0.5)
         alpha = 0.8
         q = reg.quantiles(alpha)
         positive = test.labels[:, 0] > 0
@@ -220,9 +215,12 @@ class TestConformalRegressor:
         reg = calibrated_regressor(model, calib)
         output = engine_predict(model, test.covariates)
         exists = output.scores >= 0.5
-        batch = reg.predict(output, exists, alpha=0.7)
-        assert batch.exists.shape == (len(test), 1)
-        np.testing.assert_array_equal(batch.exists, exists)
+        rows, cols, starts, ends = reg.predict(output, exists, alpha=0.7)
+        # Span mode: one run per kept pair, in row-major order.
+        want_rows, want_cols = np.nonzero(exists)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
+        assert np.all((1 <= starts) & (starts <= ends) & (ends <= 16))
 
     def test_predict_exists_shape_checked(self, trained):
         model, calib, test = trained
@@ -236,9 +234,10 @@ class TestConformalRegressor:
         reg = calibrated_regressor(model, calib)
         output = engine_predict(model, test.covariates)
         exists = np.ones_like(output.scores, dtype=bool)
-        narrow = reg.predict(output, exists, alpha=0.2)
-        wide = reg.predict(output, exists, alpha=0.99)
-        assert (wide.predicted_frames() >= narrow.predicted_frames()).all()
+        _, _, narrow_starts, narrow_ends = reg.predict(output, exists, alpha=0.2)
+        _, _, wide_starts, wide_ends = reg.predict(output, exists, alpha=0.99)
+        assert (wide_starts <= narrow_starts).all()
+        assert (wide_ends >= narrow_ends).all()
 
 
 def three_event_records(b=80, h=16, seed=0):
@@ -300,7 +299,7 @@ class TestDecideRewriteOracles:
     def test_quantiles_equal_residual_quantile_per_alpha(self, trained):
         model, calib, _ = trained
         reg = calibrated_regressor(model, calib)
-        starts, ends = extract_intervals(
+        starts, ends = where_min_max_intervals(
             engine_predict(model, calib.covariates).frame_scores, reg.tau2
         )
         positive = calib.labels[:, 0] > 0
@@ -316,18 +315,18 @@ class TestDecideRewriteOracles:
         reg = calibrated_regressor(model, calib)
         output = engine_predict(model, test.covariates)
         exists = output.scores >= 0.5
-        starts, ends = extract_intervals(output.frame_scores, reg.tau2)
-        raw = PredictionBatch(
-            exists=exists,
-            starts=np.where(exists, starts, 0),
-            ends=np.where(exists, ends, 0),
-            horizon=output.horizon,
+        starts, ends = where_min_max_intervals(output.frame_scores, reg.tau2)
+        q = reg.quantiles(0.9).astype(int)
+        rows, cols, got_starts, got_ends = reg.predict(output, exists, 0.9)
+        want_rows, want_cols = np.nonzero(exists)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
+        np.testing.assert_array_equal(
+            got_starts, np.maximum(1, starts[exists] - q[want_cols, 0])
         )
-        want = reg.widen(raw, 0.9)
-        got = reg.predict(output, exists, 0.9)
-        for field in ("exists", "starts", "ends"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-        assert got.exists is not exists
+        np.testing.assert_array_equal(
+            got_ends, np.minimum(output.horizon, ends[exists] + q[want_cols, 1])
+        )
 
 
 def labelled_records(labels):

@@ -96,7 +96,6 @@ class TestCheckpointRoundtrip:
 
     def test_checkpoint_usable_with_conformal(self, tmp_path):
         """Calibrating on a restored model must give identical predictions."""
-        from repro.conformal import ConformalClassifier
         from repro.core import train_eventhit
         from tests.core.test_trainer import synthetic_records
 

@@ -8,10 +8,25 @@ from hypothesis import strategies as st
 from repro.core import (
     EventHitOutput,
     PredictionBatch,
-    extract_intervals,
+    kept_pair_runs,
     threshold_predictions,
 )
 from repro.core.inference import decide_intervals
+from tests.helpers import where_min_max_intervals
+
+
+def extract_intervals(frame_scores, tau2=0.5):
+    """Eqs. 5–6 over every pair: :func:`kept_pair_runs` in span mode
+    (``min_gap=None``) as ``(B, K)`` starts and ends."""
+    frame_scores = np.asarray(frame_scores)
+    shape = frame_scores.shape[:2]
+    output = EventHitOutput(np.ones(shape), frame_scores)
+    rows, cols, starts, ends = kept_pair_runs(
+        output, np.ones(shape, dtype=bool), tau2
+    )
+    # One run per pair, row-major: exactly the (B, K) grid.
+    assert np.array_equal(rows * shape[1] + cols, np.arange(len(rows)))
+    return starts.reshape(shape), ends.reshape(shape)
 
 
 class TestExtractIntervals:
@@ -45,6 +60,8 @@ class TestExtractIntervals:
             extract_intervals(np.zeros((1, 10)), tau2=0.5)
         with pytest.raises(ValueError):
             extract_intervals(np.zeros((1, 1, 10)), tau2=-0.1)
+        with pytest.raises(ValueError):
+            extract_intervals(np.zeros((1, 1, 10)), tau2=np.nan)
 
     def test_batch_independence(self):
         frames = np.zeros((2, 1, 6))
@@ -124,21 +141,6 @@ class TestThresholdPredictions:
         with pytest.raises(ValueError):
             threshold_predictions(out, tau1=2.0)
         assert not decide_intervals(out, tau1=2.0).exists.any()
-
-
-def where_min_max_intervals(frame_scores, tau2):
-    """The five-pass where/min/max extraction, kept as the oracle for
-    :func:`extract_intervals`'s argmax passes."""
-    above = frame_scores >= tau2
-    any_above = above.any(axis=2)
-    horizon = frame_scores.shape[2]
-    offsets = np.arange(1, horizon + 1)
-    first = np.where(above, offsets[None, None, :], horizon + 1).min(axis=2)
-    last = np.where(above, offsets[None, None, :], 0).max(axis=2)
-    peak = frame_scores.argmax(axis=2) + 1
-    starts = np.where(any_above, first, peak)
-    ends = np.where(any_above, last, peak)
-    return starts.astype(int), ends.astype(int)
 
 
 class TestExtractIntervalsOracle:

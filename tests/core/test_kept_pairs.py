@@ -12,18 +12,24 @@ import numpy as np
 import pytest
 
 from repro.cloud import StreamMarshaller
-from repro.core import BatchedInference, EventHit, EventHitConfig, EventHitOutput
-from repro.core.inference import (
-    PredictionBatch,
-    decide_intervals,
-    extract_interval_segments,
-    extract_intervals,
-    kept_pair_intervals,
+from repro.conformal import ConformalRegressor
+from repro.core import (
+    BatchedInference,
+    EventHit,
+    EventHitConfig,
+    EventHitOutput,
+    kept_pair_runs,
 )
+from repro.core.inference import decide_intervals
 from repro.data import RecordSet
 from repro.features import CovariatePipeline
 from repro.video.events import EventType
-from tests.helpers import calibrated
+from tests.helpers import (
+    calibrated,
+    loop_runs,
+    merge_touching,
+    where_min_max_intervals,
+)
 
 HORIZON = 40
 EVENTS = 3
@@ -81,56 +87,35 @@ def random_records(seed, n=60):
 def layers():
     model = EventHit(FEATURES, EVENTS, config=CONFIG)
     calibration = random_records(0)
-    return (model, *calibrated(model, calibration))
+    # C-REGRESS at a τ2 of its own, apart from the marshaller default.
+    return (model, *calibrated(model, calibration, tau2=0.6))
 
 
-def merge_runs(runs):
-    merged = []
-    for start, end in sorted(runs):
-        if merged and start <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
+def widened_loop_runs(regressor, alpha, k, runs):
+    """Eq. 11 on one pair's runs, then overlapping or touching runs merged."""
+    q = regressor.quantiles(alpha)
+    return merge_touching(
+        [(max(1, s - int(q[k, 0])), min(HORIZON, e + int(q[k, 1]))) for s, e in runs]
+    )
 
 
 def oracle_decide(m, output):
-    """``decide`` over every pair, filtered by existence afterwards."""
+    """``decide`` by the per-pair loop over every pair, filtered by
+    existence afterwards; C-REGRESS extracts at its own τ2."""
     if m.classifier is not None:
         exists = m.classifier.predict(output, m.confidence)
     else:
         exists = output.scores >= m.tau1
-    if m.segmented:
-        raw = extract_interval_segments(output.frame_scores, m.tau2,
-                                        min_gap=m.segment_min_gap)
-        if m.regressor is not None:
-            q = m.regressor.quantiles(m.alpha)
-            raw = [
-                [
-                    merge_runs([(max(1, s - int(q[k, 0])),
-                                 min(m.horizon, e + int(q[k, 1])))
-                                for s, e in runs])
-                    for k, runs in enumerate(row)
-                ]
-                for row in raw
-            ]
-        return exists, [
-            [runs if exists[b, k] else [] for k, runs in enumerate(row)]
-            for b, row in enumerate(raw)
-        ]
-    starts, ends = extract_intervals(output.frame_scores, m.tau2)
-    if m.regressor is not None:
-        widened = m.regressor.widen(
-            PredictionBatch(exists, np.where(exists, starts, 0),
-                            np.where(exists, ends, 0), m.horizon),
-            m.alpha,
-        )
-        starts, ends = widened.starts, widened.ends
-    return exists, [
-        [[(int(starts[b, k]), int(ends[b, k]))] if exists[b, k] else []
-         for k in range(EVENTS)]
-        for b in range(exists.shape[0])
-    ]
+    tau2 = m.tau2 if m.regressor is None else m.regressor.tau2
+    relays = []
+    for b in range(exists.shape[0]):
+        for k in range(EVENTS):
+            runs = loop_runs(output.frame_scores[b, k], tau2, m.segment_min_gap)
+            if m.regressor is not None:
+                runs = widened_loop_runs(m.regressor, m.alpha, k, runs)
+            if exists[b, k]:
+                relays += [(b, k, s, e) for s, e in runs]
+    return exists, relays
 
 
 class TestLazyFrameScores:
@@ -198,12 +183,12 @@ KEEP = {
 
 
 class TestKeptPairDecide:
-    @pytest.mark.parametrize("segmented", [False, True], ids=["span", "segmented"])
+    @pytest.mark.parametrize("min_gap", [None, 3], ids=["span", "segmented"])
     @pytest.mark.parametrize("regress", [False, True], ids=["tau2", "cregress"])
     @pytest.mark.parametrize("keep", sorted(KEEP))
     @pytest.mark.parametrize("seed", range(3))
     def test_decide_equals_full_activation_oracle(
-        self, layers, segmented, regress, keep, seed
+        self, layers, min_gap, regress, keep, seed
     ):
         model, classifier, regressor = layers
         use_classifier, tau1, confidence = KEEP[keep]
@@ -216,21 +201,18 @@ class TestKeptPairDecide:
             confidence=confidence,
             alpha=0.8,
             tau1=tau1,
-            segmented=segmented,
-            segment_min_gap=3,
+            # Apart from the regressor's τ2: C-REGRESS extracts at its own.
+            tau2=0.4,
+            segment_min_gap=min_gap,
         )
         theta = random_logits(seed)
         lazy = EventHitOutput.from_logits(theta)
-        exists, kept = m.decide(lazy)
-        want_exists, want_segments = oracle_decide(m, eager_output(theta))
+        exists, relays = m.decide(lazy)
+        want_exists, want_relays = oracle_decide(m, eager_output(theta))
         assert np.array_equal(exists, want_exists)
-        # Every kept pair, in row-major order, with the oracle's runs.
-        assert kept == [
-            (b, k, runs)
-            for b, row in enumerate(want_segments)
-            for k, runs in enumerate(row)
-            if want_exists[b, k]
-        ]
+        # Every kept pair's runs, in row-major order, as the oracle's.
+        assert relays == want_relays
+        assert all(type(value) is int for relay in relays for value in relay)
         if regress:
             quantiles = regressor.quantiles(m.alpha)
             assert len({tuple(q) for q in quantiles}) == EVENTS
@@ -244,111 +226,72 @@ class TestKeptPairDecide:
         else:
             assert 0.0 < share < 1.0
 
+    @pytest.mark.parametrize("min_gap", [None, 2])
     @pytest.mark.parametrize("keep", [0.0, 0.25, 1.0])
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
     def test_regressor_predict_equals_full_activation_oracle(
-        self, layers, keep, alpha
+        self, layers, keep, alpha, min_gap
     ):
         _, _, regressor = layers
         theta = random_logits(11)
         exists = np.random.default_rng(12).random(theta.shape[:2]) < keep
         lazy = EventHitOutput.from_logits(theta)
-        got = regressor.predict(lazy, exists, alpha)
-        starts, ends = extract_intervals(eager_output(theta).frame_scores,
-                                         regressor.tau2)
-        want = regressor.widen(
-            PredictionBatch(exists, np.where(exists, starts, 0),
-                            np.where(exists, ends, 0), HORIZON),
-            alpha,
-        )
-        assert np.array_equal(got.exists, want.exists)
-        assert np.array_equal(got.starts, want.starts)
-        assert np.array_equal(got.ends, want.ends)
+        rows, cols, starts, ends = regressor.predict(lazy, exists, alpha, min_gap)
+        scores = eager_output(theta).frame_scores
+        want = [
+            (b, k, s, e)
+            for b, k in zip(*np.nonzero(exists))
+            for s, e in widened_loop_runs(
+                regressor, alpha, k, loop_runs(scores[b, k], regressor.tau2, min_gap)
+            )
+        ]
+        got = list(zip(rows.tolist(), cols.tolist(), starts.tolist(), ends.tolist()))
+        assert got == want
+        if min_gap is None:
+            # Span mode is Eq. 11 on the where/min/max intervals.
+            q = regressor.quantiles(alpha).astype(int)
+            full_starts, full_ends = where_min_max_intervals(scores, regressor.tau2)
+            assert np.array_equal(
+                starts, np.maximum(1, full_starts - q[None, :, 0])[exists]
+            )
+            assert np.array_equal(
+                ends, np.minimum(HORIZON, full_ends + q[None, :, 1])[exists]
+            )
         assert lazy._frame_scores is None
+
+    def test_regressor_extracts_at_its_own_tau2(self):
+        # Calibrated on truths equal to its own Eq. 6 spans at τ2 = 0.6,
+        # the layer widens by nothing, so its runs are the extractor's at
+        # 0.6 and not at the 0.5 default.
+        theta = random_logits(15)
+        output = eager_output(theta)
+        exists = np.ones(theta.shape[:2], dtype=bool)
+        starts, ends = where_min_max_intervals(output.frame_scores, 0.6)
+        records = RecordSet(
+            event_types=[EventType(f"e{k}", 4, 1) for k in range(EVENTS)],
+            horizon=HORIZON, frames=np.arange(len(theta)),
+            covariates=np.zeros((len(theta), 1, 1)), labels=np.ones(exists.shape),
+            starts=starts, ends=ends, censored=np.zeros(exists.shape),
+        )
+        regressor = ConformalRegressor(tau2=0.6).calibrate(output, records)
+        assert not regressor.quantiles(1.0).any()
+        for min_gap in (None, 2):
+            got = regressor.predict(output, exists, 0.9, min_gap)
+            at_own = kept_pair_runs(output, exists, 0.6, min_gap)
+            at_default = kept_pair_runs(output, exists, 0.5, min_gap)
+            assert all(np.array_equal(g, w) for g, w in zip(got, at_own))
+            assert not all(np.array_equal(g, w) for g, w in zip(got, at_default))
 
     def test_kept_intervals_zero_outside_kept_pairs(self):
         theta = random_logits(13)
-        exists = np.random.default_rng(14).random(theta.shape[:2]) < 0.4
         output = EventHitOutput.from_logits(theta)
-        batch = PredictionBatch.from_kept(
-            exists, *kept_pair_intervals(output, exists), HORIZON
-        )
-        starts, ends = batch.starts, batch.ends
-        full_starts, full_ends = extract_intervals(eager_output(theta).frame_scores)
-        assert np.array_equal(starts, np.where(exists, full_starts, 0))
-        assert np.array_equal(ends, np.where(exists, full_ends, 0))
-
-
-def full_array_intervals(output, exists, tau2, regressor=None, alpha=None):
-    """(B, K) intervals built the full-array way: Eqs. 5-6 over every pair,
-    masked by existence, then the C-REGRESS widening over the whole
-    arrays and masked again."""
-    starts, ends = extract_intervals(output.frame_scores, tau2)
-    starts, ends = np.where(exists, starts, 0), np.where(exists, ends, 0)
-    if regressor is not None:
-        q = regressor.quantiles(alpha)
-        widened_starts = np.maximum(1, starts - q[None, :, 0].astype(int))
-        widened_ends = np.minimum(HORIZON, ends + q[None, :, 1].astype(int))
-        starts = np.where(exists, widened_starts, 0)
-        ends = np.where(exists, widened_ends, 0)
-    return starts, ends
-
-
-class TestKeptPairBatch:
-    """The decision's kept-pair PredictionBatch against full arrays."""
-
-    @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
-    @pytest.mark.parametrize("regress", [False, True], ids=["tau2", "cregress"])
-    @pytest.mark.parametrize("tau1", [2.0, 0.5, 0.0], ids=["none", "some", "all"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_kept_and_materialized_arrays_equal_full_arrays(
-        self, layers, lazy, regress, tau1, seed
-    ):
-        _, _, regressor = layers
-        theta = random_logits(seed)
-        output = EventHitOutput.from_logits(theta) if lazy else eager_output(theta)
-        batch = decide_intervals(
-            output, regressor=regressor if regress else None, alpha=0.8,
-            tau1=tau1, tau2=0.4,
-        )
-        exists = eager_output(theta).scores >= tau1
-        tau2 = regressor.tau2 if regress else 0.4
-        want_starts, want_ends = full_array_intervals(
-            eager_output(theta), exists, tau2,
-            regressor if regress else None, 0.8,
+        batch = decide_intervals(output, tau1=0.6)
+        exists = output.scores >= 0.6
+        assert 0.0 < exists.mean() < 1.0
+        full_starts, full_ends = where_min_max_intervals(
+            eager_output(theta).frame_scores, 0.5
         )
         assert np.array_equal(batch.exists, exists)
-        # Built in kept-pair form: nothing (B, K) until it is read.
-        assert batch._starts is None and batch._ends is None
-        rows, cols, starts, ends = batch.kept()
-        want_rows, want_cols = np.nonzero(exists)
-        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-        assert np.array_equal(starts, want_starts[rows, cols])
-        assert np.array_equal(ends, want_ends[rows, cols])
-        assert np.array_equal(batch.starts, want_starts)
-        assert np.array_equal(batch.ends, want_ends)
-        assert batch.starts.dtype == want_starts.dtype
-        eager = PredictionBatch(exists, want_starts, want_ends, HORIZON)
-        assert np.array_equal(batch.predicted_frames(), eager.predicted_frames())
-        for got, want in zip(eager.kept(), batch.kept()):
-            assert np.array_equal(got, want)
-        if lazy:
-            assert output._frame_scores is None
-
-    def test_from_kept_validates_only_the_kept_values(self):
-        exists = np.array([[True, False], [False, True]])
-        rows, cols = np.nonzero(exists)
-        ok = PredictionBatch.from_kept(
-            exists, rows, cols, np.array([1, 3]), np.array([2, HORIZON]), HORIZON
-        )
-        assert ok.starts.tolist() == [[1, 0], [0, 3]]
-        for starts, ends in (([0, 3], [2, 4]), ([1, 3], [2, HORIZON + 1]),
-                             ([3, 3], [2, 4])):
-            with pytest.raises(ValueError):
-                PredictionBatch.from_kept(
-                    exists, rows, cols, np.array(starts), np.array(ends), HORIZON
-                )
-        with pytest.raises(ValueError):
-            PredictionBatch.from_kept(
-                exists, rows, cols, np.array([1]), np.array([2]), HORIZON
-            )
+        assert np.array_equal(batch.starts, np.where(exists, full_starts, 0))
+        assert np.array_equal(batch.ends, np.where(exists, full_ends, 0))
+        assert output._frame_scores is None

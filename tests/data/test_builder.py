@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import DatasetBuilder, build_experiment_data, horizon_targets
-from repro.features import CovariatePipeline, extract_features
-from repro.video import make_thumos, make_virat, make_stream
+from repro.features import extract_features
+from repro.video import make_thumos
 from repro.video.datasets import EVENT_TYPES
 from repro.video.events import EventInstance, EventSchedule, EventType
 from repro.video.stream import VideoStream

@@ -1,7 +1,6 @@
 """Tests linking non-stationary (MMPP) workloads to the drift tooling."""
 
 import numpy as np
-import pytest
 
 from repro.survival import gaps_as_survival, logrank_test, onset_drift_test
 from repro.video import MarkovModulatedPoissonArrivals

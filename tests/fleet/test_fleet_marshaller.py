@@ -433,7 +433,6 @@ class TestRelayPoolOrder:
             CovariatePipeline(spec.window_size),
             tau1=0.0,
             tau2=0.5,
-            segmented=True,
             segment_min_gap=1,
         )
         scheduler = RecordingScheduler()

@@ -18,13 +18,7 @@ import pickle
 
 import pytest
 
-from repro.cloud import (
-    FaultInjector,
-    FaultPlan,
-    ResilientCIClient,
-    RetryPolicy,
-    StreamMarshaller,
-)
+from repro.cloud import StreamMarshaller
 from repro.cloud.pricing import FlatPricing
 from repro.core import EventHitConfig, train_eventhit
 from repro.data import build_experiment_data

@@ -1,6 +1,5 @@
 """Tests for the figure generators and text reporting."""
 
-import numpy as np
 import pytest
 
 from repro.harness import (

@@ -1,9 +1,7 @@
 """Tests for hyper-parameter sweeps and the loss-weight grid search."""
 
 import numpy as np
-import pytest
 
-from repro.core import EventHitConfig
 from repro.harness import ExperimentSettings, sweep_horizon, sweep_window_size
 from repro.harness.sweeps import grid_search_loss_weights
 

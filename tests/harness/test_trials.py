@@ -1,6 +1,5 @@
 """Tests for multi-trial aggregation."""
 
-import numpy as np
 import pytest
 
 from repro.harness import ExperimentSettings, aggregate_rows, run_trials

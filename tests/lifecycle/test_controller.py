@@ -1,7 +1,6 @@
 """Tests for the lifecycle controller: drift-triggered retraining, canary
 gating, atomic hot-swap, and fall-back-to-incumbent on every fault kind."""
 
-import numpy as np
 import pytest
 
 from repro.cloud import CloudInferenceService

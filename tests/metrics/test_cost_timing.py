@@ -7,7 +7,6 @@ from repro.core.inference import PredictionBatch
 from repro.data import RecordSet
 from repro.metrics import (
     REKOGNITION_PRICE_PER_FRAME,
-    PipelineTiming,
     StageBreakdown,
     TimingModel,
     brute_force_expense,

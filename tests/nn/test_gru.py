@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, GRU, GRUCell, LSTM, Tensor
+from repro.nn import Adam, GRU, GRUCell, Tensor
 from tests.nn.test_gradcheck import _module_gradcheck
 
 RNG = np.random.default_rng(11)

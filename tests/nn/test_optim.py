@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Parameter, SGD, Tensor, clip_grad_norm
+from repro.nn import Adam, Parameter, SGD, clip_grad_norm
 
 
 def quadratic_step(opt_factory, steps=200):

@@ -2,7 +2,6 @@
 
 import io
 import json
-import math
 
 from repro import obs
 from repro.cli import main

@@ -1,14 +1,12 @@
 """SLO specs, burn-rate tracking, alert FSM, board replay."""
 
 import json
-import math
 
 import pytest
 
 from repro import obs
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import (
-    AlertEvent,
     SLOBoard,
     SLOSpec,
     SLOTracker,

@@ -7,7 +7,6 @@ monotonicity, guarantee validity, cost savings, and throughput dominance.
 Runs in a few seconds at reduced scale.
 """
 
-import numpy as np
 import pytest
 
 from repro import ExperimentSettings, run_experiment
